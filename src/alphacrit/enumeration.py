@@ -2,10 +2,11 @@
 
 Canonical form: the lexicographically smallest upper-triangle adjacency
 bitstring (row-major pair order) over all vertex orderings, found by plain
-factorial search. Enumeration of connected graphs up to n = 7 dedupes all
-2^C(n,2) labeled graphs by marking whole isomorphism orbits at once; the
-permutation action on edge slots is precomputed as a numpy table so orbit
-marking is a vectorized sum per class.
+factorial search. Enumeration of connected graphs up to n = 8 reads the
+packaged data/graphs8.g6, which holds every class on 8 vertices labeled so
+that its own bits are that minimum. Under that labeling an isolated vertex
+is vertex 0, so the classes on n vertices are the classes on n + 1 vertices
+with vertex 0 isolated, with vertex 0 removed.
 """
 
 from __future__ import annotations
@@ -15,21 +16,14 @@ from importlib import resources
 from itertools import permutations
 from typing import Iterator
 
-import numpy as np
-
-from .graphs import Graph, SizeLimitError, is_connected, parse_graph6
+from .graphs import Graph, SizeLimitError, delete_vertex, is_connected, parse_graph6
 
 CANONICAL_MAX_N = 9
-ENUMERATE_MAX_N = 7
+ENUMERATE_MAX_N = 8
 
 
 def _pairs_row_major(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-@lru_cache(maxsize=None)
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    return {p: k for k, p in enumerate(_pairs_row_major(n))}
 
 
 def _graph_key(g: Graph) -> int:
@@ -38,16 +32,6 @@ def _graph_key(g: Graph) -> int:
     for i, j in _pairs_row_major(g.n):
         key = key << 1 | (g.adj[i] >> j & 1)
     return key
-
-
-def _graph_from_key(n: int, key: int) -> Graph:
-    m = n * (n - 1) // 2
-    rows = [0] * n
-    for k, (i, j) in enumerate(_pairs_row_major(n)):
-        if key >> (m - 1 - k) & 1:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
 
 
 def canonical_form(g: Graph) -> str:
@@ -70,47 +54,24 @@ def canonical_form(g: Graph) -> str:
 
 
 @lru_cache(maxsize=None)
-def _perm_bit_table(n: int) -> np.ndarray:
-    """table[p, k] = bit value of the slot that pair k lands on under permutation p."""
-    pairs = _pairs_row_major(n)
-    index = _pair_index(n)
-    m = len(pairs)
-    perms = list(permutations(range(n)))
-    table = np.zeros((len(perms), m), dtype=np.int64)
-    for pi, perm in enumerate(perms):
-        for k, (i, j) in enumerate(pairs):
-            a, b = perm[i], perm[j]
-            if a > b:
-                a, b = b, a
-            table[pi, k] = 1 << (m - 1 - index[(a, b)])
-    return table
+def _all_classes(n: int) -> tuple[Graph, ...]:
+    """Every class on n vertices in its minimum-key labeling, unsorted."""
+    if n == ENUMERATE_MAX_N:
+        return packaged_corpus("graphs8")
+    return tuple(delete_vertex(g, 0)[0] for g in _all_classes(n + 1) if g.adj[0] == 0)
 
 
 @lru_cache(maxsize=None)
 def _connected_classes(n: int) -> tuple[Graph, ...]:
-    if n == 1:
-        return (Graph(1, (0,)),)
-    m = n * (n - 1) // 2
-    table = _perm_bit_table(n)
-    seen = np.zeros(1 << m, dtype=bool)
-    canon_keys = []
-    for mask in range(1 << m):
-        if seen[mask]:
-            continue
-        cols = [k for k in range(m) if mask >> (m - 1 - k) & 1]
-        keys = table[:, cols].sum(axis=1) if cols else np.zeros(len(table), dtype=np.int64)
-        seen[keys] = True
-        rep = _graph_from_key(n, int(keys.min()))
-        if is_connected(rep):
-            canon_keys.append(int(keys.min()))
-    return tuple(_graph_from_key(n, key) for key in sorted(canon_keys))
+    # the file is sorted by graph6 text, which is not canonical-key order
+    return tuple(sorted((g for g in _all_classes(n) if is_connected(g)), key=_graph_key))
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of connected graphs on n vertices.
 
     Representatives are labeled canonically and stream in sorted canonical-form
-    order. Bounded at n = 7; larger corpora come from graph6 files.
+    order. Bounded at n = 8; larger corpora come from graph6 files.
     """
     if not 1 <= n <= ENUMERATE_MAX_N:
         raise SizeLimitError(

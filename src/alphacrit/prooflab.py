@@ -27,10 +27,10 @@ Checked statements, in the vocabulary of this package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Iterator
 
-from .enumeration import canonical_form, connected_graphs_upto, packaged_corpus
+from .enumeration import canonical_form, connected_graphs_upto
 from .graphs import (
     Edge,
     Graph,
@@ -48,6 +48,7 @@ from .graphs import (
     to_graph6,
 )
 from .stability import (
+    ALL_STABLE_MAX_N,
     alpha,
     critical_edges,
     critical_edges_avoiding,
@@ -224,19 +225,23 @@ def check_lemma_deg2(g: Graph) -> ClaimReport:
     return ClaimReport("lemma1", code, "pass", {"degree2": exhibits} if exhibits else None)
 
 
-def _claim_reason(g: Graph) -> str | None:
+def _claim_reason(g: Graph, claim_id: str) -> str | None:
     if not is_connected(g):
         return "not connected"
     if not is_alpha_critical(g):
         return "not alpha-critical"
     if g.n < 2:
         return "single vertex: deleting it changes alpha"
+    # claim2 and eq1_consistency go through critical_edges_avoiding, whose
+    # exhaustive stable-set scan is capped
+    if claim_id != "claim3" and g.n > ALL_STABLE_MAX_N:
+        return f"exhaustive stable-set scan capped at n={ALL_STABLE_MAX_N}, got {g.n}"
     return None
 
 
 def check_claim_delta(g: Graph, u: int) -> ClaimReport:
     code = to_graph6(g)
-    reason = _claim_reason(g)
+    reason = _claim_reason(g, "claim2")
     if reason is not None:
         return ClaimReport("claim2", code, "inapplicable", {"vertex": u, "reason": reason})
     reduced_crit = g_minus_c(g, u)
@@ -256,7 +261,7 @@ def check_claim_delta(g: Graph, u: int) -> ClaimReport:
 
 def check_claim_uvw(g: Graph, u: int) -> ClaimReport:
     code = to_graph6(g)
-    reason = _claim_reason(g)
+    reason = _claim_reason(g, "claim3")
     if reason is not None:
         return ClaimReport("claim3", code, "inapplicable", {"vertex": u, "reason": reason})
     targets = [
@@ -276,7 +281,7 @@ def check_claim_uvw(g: Graph, u: int) -> ClaimReport:
 
 def check_eq1_consistency(g: Graph, u: int) -> ClaimReport:
     code = to_graph6(g)
-    reason = _claim_reason(g)
+    reason = _claim_reason(g, "eq1_consistency")
     if reason is not None:
         return ClaimReport("eq1_consistency", code, "inapplicable", {"vertex": u, "reason": reason})
     reduced, vmap = delete_vertex(g, u)
@@ -431,15 +436,15 @@ def _cube_survivor_filter(g: Graph) -> bool:
 def cube_uniqueness_check(max_n: int, corpus: Iterable[Graph] | None = None) -> ClaimReport:
     """Filter the corpus by the five cube properties; Q3 must be the only survivor.
 
-    With no explicit corpus this uses the built-in enumeration plus the
-    packaged n = 8 file, which covers max_n = 8 exactly.
+    With no explicit corpus this uses the built-in enumeration, which covers
+    max_n = 8 exactly.
     """
     if max_n < 8:
         raise GraphError(f"the cube has 8 vertices; max_n={max_n} cannot certify uniqueness")
     if corpus is None:
         if max_n > 8:
             raise SizeLimitError(f"no built-in corpus beyond n=8; supply corpus up to n={max_n}")
-        corpus = chain(connected_graphs_upto(7), packaged_corpus("graphs8"))
+        corpus = connected_graphs_upto(8)
     survivors = [g for g in corpus if g.n <= max_n and _cube_survivor_filter(g)]
     cube = cube_graph()
     witness: dict = {"max_n": max_n, "survivors": [to_graph6(g) for g in survivors]}
@@ -522,7 +527,7 @@ def run_claim(claim_id: str, corpus: Iterable[Graph]) -> list[ClaimReport]:
             "eq1_consistency": check_eq1_consistency,
         }[claim_id]
         for g in graphs:
-            reason = _claim_reason(g)
+            reason = _claim_reason(g, claim_id)
             if reason is not None:
                 reports.append(ClaimReport(claim_id, to_graph6(g), "inapplicable", {"reason": reason}))
                 continue

@@ -20,8 +20,6 @@ from .graphs import Graph, iter_bits, mask_of
 PAIR_SLOTS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 PAIR_KEYS = ("ab", "ac", "ad", "bc", "bd", "cd")
 
-FIND_MAX_N = 32
-
 
 class CertificateError(ValueError):
     """Certificate is structurally malformed (as opposed to merely not verifying)."""

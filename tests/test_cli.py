@@ -102,6 +102,24 @@ def test_verify_failure_exits_one(tmp_path):
     assert json.loads(lines[-1])["summary"]["fail"] == 1
 
 
+def test_verify_size_capped_claims_are_inapplicable(tmp_path):
+    # C17 is alpha-critical, but claim2 and eq1_consistency scan every
+    # stable set, which is capped at 16 vertices
+    f = tmp_path / "c17.g6"
+    f.write_text("PhCGGC@?G?_@?@??_?G?@_?C\n")
+    for claim in ("claim2", "eq1_consistency"):
+        r = run_cli("verify", claim, "--file", str(f))
+        assert r.returncode == 0 and r.stderr == ""
+        assert r.stdout == (
+            f'{{"claim": "{claim}", "graph6": "PhCGGC@?G?_@?@??_?G?@_?C", "verdict": "inapplicable",'
+            ' "witness": {"reason": "exhaustive stable-set scan capped at n=16, got 17"}}\n'
+            f'{{"summary": {{"claims": ["{claim}"], "graphs": 1, "pass": 0, "fail": 0, "inapplicable": 1}}}}\n'
+        )
+    r = run_cli("verify", "claim3", "--file", str(f))
+    assert r.returncode == 0
+    assert json.loads(r.stdout.splitlines()[-1])["summary"]["pass"] == 17
+
+
 def test_verify_unknown_claim_is_usage_error():
     for bad in ("bogus", "case1"):
         r = run_cli("verify", bad, "--enumerate", "4")
@@ -143,7 +161,17 @@ def test_enumerate_frozen():
 def test_enumerate_out_of_range():
     r = run_cli("enumerate", "9")
     assert r.returncode == 64
-    assert "must be in 1..7" in r.stderr
+    assert "must be in 1..8" in r.stderr
+
+
+def test_import_and_enumerate_do_not_load_numpy():
+    code = (
+        "import sys, alphacrit; from alphacrit.cli import main; "
+        "main(['enumerate', '5']); print('numpy' in sys.modules)"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0 and r.stderr == ""
+    assert r.stdout.splitlines()[-1] == "False"
 
 
 def test_no_command_is_usage_error():

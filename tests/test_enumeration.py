@@ -20,7 +20,7 @@ from alphacrit.graphs import (
     to_graph6,
 )
 
-CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -100,7 +100,7 @@ def test_enumeration_bounds():
     with pytest.raises(SizeLimitError):
         list(enumerate_connected(0))
     with pytest.raises(SizeLimitError):
-        list(enumerate_connected(8))
+        list(enumerate_connected(9))
 
 
 def test_connected_graphs_upto_sizes():
