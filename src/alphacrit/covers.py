@@ -2,9 +2,11 @@
 
 Costs: a vertex or an edge costs 1, an odd cycle C costs (|C| - 1)/2. All
 arithmetic uses doubled costs so everything stays integral. rho_tilde is an
-exact subset DP; cover_from_theorem reads the cover off a critical subgraph,
-which is the constructive content of the min-max equality for graphs with no
-totally odd K4-subdivision.
+exact subset DP over the induced odd cycles only: a chorded odd cycle costs
+as much as a shorter odd cycle plus edges on the same vertices, so its
+families never contain a chorded cycle. cover_from_theorem reads the cover
+off a critical subgraph, which is the constructive content of the min-max
+equality for graphs with no totally odd K4-subdivision.
 """
 
 from __future__ import annotations
@@ -130,11 +132,51 @@ def enumerate_odd_cycles(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
+def _induced_odd_cycles(g: Graph) -> list[tuple[int, ...]]:
+    """The chordless odd cycles, in enumerate_odd_cycles' orientation and order.
+
+    The same DFS, except that a path never grows to a vertex adjacent to one of
+    its interior vertices, and it closes (and stops) at the first vertex
+    adjacent to the start.
+    """
+    out: list[tuple[int, ...]] = []
+    adj = g.adj
+    for s in range(g.n):
+        path = [s]
+        above = ~((1 << (s + 1)) - 1)  # only vertices > s may appear after s
+
+        def dfs(v: int, visited: int, blocked: int):
+            # blocked: neighbours of the interior vertices path[1:-1]
+            for w in iter_bits(adj[v] & above & ~visited & ~blocked):
+                path.append(w)
+                if adj[w] >> s & 1:
+                    if len(path) % 2 == 1 and path[1] < w:
+                        out.append(tuple(path))
+                else:
+                    dfs(w, visited | 1 << w, blocked | adj[v])
+                path.pop()
+
+        for w in iter_bits(adj[s] & above):
+            path.append(w)
+            dfs(w, 1 << s | 1 << w, 0)
+            path.pop()
+    out.sort()
+    return out
+
+
 def rho_tilde(g: Graph) -> tuple[int, CoverFamily]:
-    """Exact minimum doubled cover cost with one optimal family, by subset DP."""
+    """Exact minimum doubled cover cost with one optimal family, by subset DP.
+
+    The DP offers only chordless (induced) odd cycles. A chord splits an odd
+    cycle C into a shorter odd cycle C' and a path P on the other vertices of
+    C, an even number of them; C' plus |P|/2 edges of P covers V(C) at doubled
+    cost (|C'| - 1) + |P| = |C| - 1, the cost of C. Repeating this ends at a
+    chordless odd cycle, so every DP state keeps its optimum without chorded
+    cycles, and the returned family contains induced odd cycles only.
+    """
     if g.n > RHO_MAX_N:
         raise SizeLimitError(f"cover DP capped at n={RHO_MAX_N}, got {g.n}")
-    cycles = enumerate_odd_cycles(g)
+    cycles = _induced_odd_cycles(g)
     cyc_masks = [mask_of(c) for c in cycles]
     through: list[list[int]] = [[] for _ in range(g.n)]
     for idx, c in enumerate(cycles):
@@ -176,7 +218,7 @@ def rho_tilde(g: Graph) -> tuple[int, CoverFamily]:
         chosen = False
         for u in iter_bits(g.adj[v]):
             rest = left & ~(1 << v | 1 << u)
-            if memo.get(rest, -1) + 2 == here:
+            if memo[rest] + 2 == here:
                 edges.append(Edge(v, u))
                 left = rest
                 chosen = True
@@ -185,7 +227,7 @@ def rho_tilde(g: Graph) -> tuple[int, CoverFamily]:
             continue
         for idx in through[v]:
             rest = left & ~cyc_masks[idx]
-            if memo.get(rest, -1) + (len(cycles[idx]) - 1) == here:
+            if memo[rest] + (len(cycles[idx]) - 1) == here:
                 cycs.append(cycles[idx])
                 left = rest
                 chosen = True

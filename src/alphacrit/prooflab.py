@@ -535,9 +535,16 @@ def run_claim(claim_id: str, corpus: Iterable[Graph]) -> list[ClaimReport]:
     elif claim_id == "cube":
         bound = max((g.n for g in graphs), default=0)
         try:
-            reports = [cube_uniqueness_check(bound, corpus=graphs)]
+            report = cube_uniqueness_check(bound, corpus=graphs)
         except GraphError as exc:
-            reports = [ClaimReport("cube", "", "inapplicable", {"reason": str(exc)})]
+            report = ClaimReport("cube", "", "inapplicable", {"reason": str(exc)})
+        else:
+            if not report.witness["survivors"]:
+                # Q3 itself passes the filter, so a corpus with no survivor
+                # cannot hold every connected graph up to its largest order
+                reason = f"corpus lacks Q3, so it is not every connected graph up to n={bound}"
+                report = ClaimReport("cube", "", "inapplicable", {"reason": reason})
+        reports = [report]
     elif claim_id == "witness":
         bound = max((g.n for g in graphs), default=0)
         reports = [witness_report(graphs, bound)]

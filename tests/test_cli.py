@@ -185,3 +185,17 @@ def test_repeated_runs_are_byte_identical():
     second = run_cli("verify", "theorem1", "claim3", "--enumerate", "5")
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_verify_cube_without_q3_is_inapplicable(tmp_path):
+    # a corpus with no survivor lacks Q3, so it cannot be every graph up to its
+    # largest order; that is a precondition miss, not a failed claim
+    f = tmp_path / "k8_p9.g6"
+    f.write_text("G~~~~{\nHhCGGC@\n")
+    r = run_cli("verify", "cube", "--file", str(f))
+    assert r.returncode == 0 and r.stderr == ""
+    assert r.stdout == (
+        '{"claim": "cube", "graph6": "", "verdict": "inapplicable", "witness": {"reason":'
+        ' "corpus lacks Q3, so it is not every connected graph up to n=9"}}\n'
+        '{"summary": {"claims": ["cube"], "graphs": 2, "pass": 0, "fail": 0, "inapplicable": 1}}\n'
+    )

@@ -1,3 +1,6 @@
+import hashlib
+from collections import Counter
+
 import pytest
 
 from alphacrit.covers import (
@@ -5,6 +8,7 @@ from alphacrit.covers import (
     CoverFamily,
     TheoremViolationError,
     Tok4PresentError,
+    _induced_odd_cycles,
     cover_from_theorem,
     enumerate_odd_cycles,
     minmax_certificate,
@@ -17,6 +21,7 @@ from alphacrit.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    mask_of,
     parse_graph6,
     path_graph,
 )
@@ -48,6 +53,16 @@ def test_enumerate_odd_cycles_matches_oracle(corpus6):
         assert enumerate_odd_cycles(g) == brute_odd_cycles(g)
 
 
+def _chordless(g, cyc):
+    mask = mask_of(cyc)
+    return sum((g.adj[v] & mask).bit_count() for v in cyc) == 2 * len(cyc)
+
+
+def test_induced_odd_cycles_are_the_chordless_ones(corpus7, critical_corpus):
+    for g in [*corpus7, *critical_corpus]:
+        assert _induced_odd_cycles(g) == [c for c in enumerate_odd_cycles(g) if _chordless(g, c)]
+
+
 def test_verify_cover_violations():
     c5 = cycle_graph(5)
     ok = CoverFamily(c5, (), (), ((0, 1, 2, 3, 4),), 4)
@@ -77,12 +92,26 @@ def test_verify_cover_rejects_even_cycles():
 
 
 def test_rho_tilde_matches_brute_oracle(corpus6):
+    # brute_rho offers every odd cycle, chorded ones included, so agreement
+    # also checks the chord argument that lets rho_tilde skip them
     for g in corpus6:
-        if g.n > 5:
-            continue
         doubled, family = rho_tilde(g)
         assert doubled == brute_rho(g)
         assert verify_cover(g, family) == doubled
+
+
+def test_rho_tilde_families_use_induced_cycles(corpus6):
+    for g in corpus6:
+        _, family = rho_tilde(g)
+        assert all(_chordless(g, c) for c in family.odd_cycles)
+
+
+def test_rho_tilde_frozen_graphs8(graphs8):
+    values = [rho_tilde(g)[0] for g in graphs8]
+    assert sum(values) == 89302
+    assert Counter(values) == {6: 5783, 8: 5611, 10: 863, 12: 81, 14: 7, 16: 1}
+    digest = hashlib.sha256("".join(f"{d}\n" for d in values).encode()).hexdigest()
+    assert digest == "5f1c77e3288c6e0ee38c9ef18cc65fda9fba841c9b83e2e8c8ce06de025c5c6b"
 
 
 def test_rho_tilde_frozen_values():
