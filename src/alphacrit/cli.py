@@ -88,8 +88,9 @@ def _analysis_record(g: Graph, code: str, want: set[str]) -> dict:
     if "alpha" in want:
         rec["alpha"] = alpha(g)
     if "critical" in want:
-        rec["alpha_critical"] = is_alpha_critical(g)
-        rec["critical_edge_count"] = len(critical_edges(g).edges)
+        crit = critical_edges(g).edges
+        rec["alpha_critical"] = len(crit) == g.m
+        rec["critical_edge_count"] = len(crit)
     if "tok4" in want:
         cert = find_tok4(g)
         rec["tok4"] = None if cert is None else cert.to_obj()

@@ -7,12 +7,26 @@ neighborhood), seeded with a greedy lower bound and pruned with the
 degree-based bound alpha <= |R| - ceil(m_R / Delta_R). Once the remainder has
 maximum degree <= 2 it is a disjoint union of paths and cycles and is scored
 directly.
+
+An edge uv is critical iff alpha(G - N[u] - N[v]) = alpha(G) - 1. A stable set
+of size alpha + 1 in G - uv must contain both u and v, and dropping them leaves
+a stable set of size alpha - 1 that avoids N[u] | N[v]; conversely any stable
+set avoiding N[u] | N[v] can take u, so it has at most alpha - 1 vertices. The
+test therefore runs alpha on the graph minus two closed neighborhoods instead
+of on G - uv.
+
+Criticality is monotone under alpha-preserving deletions: if alpha(G - e) >
+alpha(G) = alpha(G - f), then alpha(G - f - e) >= alpha(G - e) > alpha(G - f).
+The same holds for a vertex whose deletion lowers alpha. So
+critical_subgraph and peel_max_stable_set never revisit an item they kept, and
+each is a single pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .graphs import (
     Edge,
@@ -152,37 +166,50 @@ def all_max_stable_sets(g: Graph) -> list[VertexSet]:
     return out
 
 
+def _edge_is_critical(adj: Sequence[int], full: int, base: int, u: int, v: int) -> bool:
+    """Whether deleting uv raises alpha of the graph induced by adj on full,
+    whose alpha is base."""
+    # uv is an edge, so adj[u] | adj[v] is N[u] | N[v]
+    return _alpha_mask(adj, full & ~(adj[u] | adj[v])) == base - 1
+
+
 def critical_edges(g: Graph) -> CriticalEdgeSet:
-    """Edges whose deletion raises alpha."""
+    """Edges whose deletion raises alpha.
+
+    uv is tested as alpha(g - N[u] - N[v]) == alpha(g) - 1, which holds iff
+    alpha(g - uv) > alpha(g); no edge-deleted graph is built.
+    """
     base = alpha(g)
-    crit = frozenset(e for e in g.edges() if alpha(delete_edge(g, e)) > base)
+    full = g.vertex_mask()
+    crit = frozenset(e for e in g.edges() if _edge_is_critical(g.adj, full, base, e.u, e.v))
     return CriticalEdgeSet(host=g, edges=crit)
 
 
 def is_alpha_critical(g: Graph) -> bool:
     """True iff deleting any single edge raises alpha; edgeless graphs qualify."""
     base = alpha(g)
-    for e in g.edges():
-        if alpha(delete_edge(g, e)) == base:
-            return False
-    return True
+    full = g.vertex_mask()
+    return all(_edge_is_critical(g.adj, full, base, e.u, e.v) for e in g.edges())
 
 
 def critical_subgraph(g: Graph) -> Graph:
-    """Alpha-preserving alpha-critical spanning subgraph.
+    """Alpha-preserving alpha-critical spanning subgraph; keeps all critical edges of g.
 
-    Deletes the lexicographically smallest currently non-critical edge until
-    every remaining edge is critical. Keeps all critical edges of g.
+    One pass over the edges in sorted order deletes each edge that is not
+    critical in the current graph H, tested as alpha(H - N[u] - N[v]) ==
+    alpha(g) - 1. An edge kept as critical stays critical after every later
+    deletion, since each keeps alpha: alpha(H - f - e) >= alpha(H - e) >
+    alpha(H) = alpha(H - f). So the result equals repeatedly deleting the
+    smallest non-critical edge until none is left.
     """
-    current = g
     base = alpha(g)
-    while True:
-        for e in sorted(current.edges()):
-            if alpha(delete_edge(current, e)) == base:
-                current = delete_edge(current, e)
-                break
-        else:
-            return current
+    full = g.vertex_mask()
+    rows = list(g.adj)
+    for e in sorted(g.edges()):
+        if not _edge_is_critical(rows, full, base, e.u, e.v):
+            rows[e.u] &= ~(1 << e.v)
+            rows[e.v] &= ~(1 << e.u)
+    return Graph(g.n, tuple(rows))
 
 
 def critical_edges_avoiding(g: Graph, u: int) -> frozenset[Edge]:
@@ -228,21 +255,16 @@ def g_minus_c(g: Graph, u: int) -> Graph:
 
 
 def peel_max_stable_set(g: Graph) -> StableSetCertificate:
-    """Delete the smallest vertex whose removal keeps alpha, until none exists.
+    """Delete each vertex, in increasing order, whose removal keeps alpha.
 
-    The survivors are a maximum stable set of g.
+    A vertex kept because its removal lowers alpha keeps lowering it after
+    every later alpha-preserving deletion, so one pass equals repeatedly
+    deleting the smallest such vertex until none exists. The survivors are a
+    maximum stable set of g.
     """
     target = alpha(g)
-    current = g
-    labels = tuple(range(g.n))
-    while True:
-        base = alpha(current)
-        for v in range(current.n):
-            reduced, vmap = delete_vertex(current, v)
-            if alpha(reduced) == base:
-                current = reduced
-                labels = tuple(labels[old] for old in vmap)
-                break
-        else:
-            break
-    return StableSetCertificate(host=g, set=VertexSet.of(labels), claimed_alpha=target)
+    avail = g.vertex_mask()
+    for v in range(g.n):
+        if _alpha_mask(g.adj, avail & ~(1 << v)) == target:
+            avail &= ~(1 << v)
+    return StableSetCertificate(host=g, set=VertexSet(avail), claimed_alpha=target)

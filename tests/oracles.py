@@ -3,11 +3,18 @@
 Everything here is deliberately naive: exhaustive subset scans and
 generate-and-test searches with no pruning, memoization, or shared code
 paths with the library. Usable only at toy sizes, which is the point.
+
+The two restart loops at the end are the exception: they are the former
+library versions of critical_subgraph and peel_max_stable_set, kept as the
+reference for the single-pass versions. They restart after every deletion and
+decide each step with alpha on the freshly built smaller graph, so they share
+only alpha with the code they check.
 """
 
 from itertools import combinations, permutations
 
-from alphacrit.graphs import Graph
+from alphacrit.graphs import Graph, VertexSet, delete_edge, delete_vertex
+from alphacrit.stability import alpha
 
 
 def brute_alpha(g: Graph) -> int:
@@ -97,3 +104,34 @@ def brute_rho(g: Graph) -> int:
         return best
 
     return rec(0)
+
+
+def loop_critical_subgraph(g: Graph) -> Graph:
+    """Delete the lexicographically smallest edge whose deletion keeps alpha,
+    restarting the scan after every deletion, until no such edge is left."""
+    current = g
+    base = alpha(g)
+    while True:
+        for e in sorted(current.edges()):
+            if alpha(delete_edge(current, e)) == base:
+                current = delete_edge(current, e)
+                break
+        else:
+            return current
+
+
+def loop_peel_max_stable_set(g: Graph) -> VertexSet:
+    """Delete the smallest vertex whose removal keeps alpha, relabelling and
+    restarting after every deletion; the survivors' original labels."""
+    current = g
+    labels = tuple(range(g.n))
+    while True:
+        base = alpha(current)
+        for v in range(current.n):
+            reduced, vmap = delete_vertex(current, v)
+            if alpha(reduced) == base:
+                current = reduced
+                labels = tuple(labels[old] for old in vmap)
+                break
+        else:
+            return VertexSet.of(labels)

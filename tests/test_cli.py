@@ -8,6 +8,8 @@ import json
 import subprocess
 import sys
 
+from alphacrit.graphs import complete_graph, cycle_graph, to_graph6
+
 CLI = [sys.executable, "-m", "alphacrit.cli"]
 
 
@@ -199,3 +201,25 @@ def test_verify_cube_without_q3_is_inapplicable(tmp_path):
         ' "corpus lacks Q3, so it is not every connected graph up to n=9"}}\n'
         '{"summary": {"claims": ["cube"], "graphs": 2, "pass": 0, "fail": 0, "inapplicable": 1}}\n'
     )
+
+
+def test_verify_every_claim_above_every_cap(tmp_path):
+    # C17 is above the 16-vertex stable-set scan cap, and no claim may
+    # turn that into a traceback
+    f = tmp_path / "c17.g6"
+    f.write_text("PhCGGC@?G?_@?@??_?G?@_?C\n")
+    r = run_cli("verify", "--file", str(f))
+    assert r.returncode == 0 and r.stderr == ""
+    summary = json.loads(r.stdout.splitlines()[-1])["summary"]
+    assert (summary["pass"], summary["inapplicable"], summary["fail"]) == (19, 5, 0)
+
+
+def test_analyze_all_at_the_vertex_cap(tmp_path):
+    f = tmp_path / "big.g6"
+    f.write_text("".join(to_graph6(g) + "\n" for g in (cycle_graph(31), cycle_graph(32), complete_graph(32))))
+    r = run_cli("analyze", "--all", "--file", str(f))
+    assert r.returncode == 0 and r.stderr == ""
+    recs = [json.loads(line) for line in r.stdout.splitlines()]
+    assert [(rec["n"], rec["alpha_critical"], rec["critical_edge_count"]) for rec in recs] == [
+        (31, True, 31), (32, False, 0), (32, True, 496)]
+    assert all(rec["skipped"] == {"cover": f"cover DP capped at n=9, got {rec['n']}"} for rec in recs)

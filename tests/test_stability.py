@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from alphacrit.graphs import (
@@ -25,7 +28,7 @@ from alphacrit.stability import (
     is_alpha_critical,
     peel_max_stable_set,
 )
-from oracles import brute_alpha
+from oracles import brute_alpha, loop_critical_subgraph, loop_peel_max_stable_set
 
 PETERSEN = parse_graph6("IsP@PGXD_")
 
@@ -208,3 +211,50 @@ def test_peel_max_stable_set():
         assert cert.host == g and cert.claimed_alpha == alpha(g)
         members = cert.set.members()
         assert all(not g.adj[u] >> v & 1 for u in members for v in members)
+
+
+@pytest.fixture(scope="module")
+def corpus7_and_critical(corpus7, critical_corpus):
+    """corpus7 and critical_corpus, plus one seeded relabelling of each graph."""
+    rng = random.Random(5)
+    graphs = [*corpus7, *critical_corpus]
+    relabelled = []
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        rows = [0] * g.n
+        for e in g.edges():
+            rows[perm[e.u]] |= 1 << perm[e.v]
+            rows[perm[e.v]] |= 1 << perm[e.u]
+        relabelled.append(Graph(g.n, tuple(rows)))
+    return graphs + relabelled
+
+
+def test_critical_edges_match_the_definition(corpus7_and_critical):
+    for g in corpus7_and_critical:
+        base = alpha(g)
+        want = frozenset(e for e in g.edges() if alpha(delete_edge(g, e)) > base)
+        assert critical_edges(g).edges == want
+        assert is_alpha_critical(g) == (len(want) == g.m)
+
+
+def test_single_passes_match_restart_loops(corpus7_and_critical):
+    for g in corpus7_and_critical:
+        assert critical_subgraph(g) == loop_critical_subgraph(g)
+        assert peel_max_stable_set(g).set == loop_peel_max_stable_set(g)
+
+
+def test_criticality_frozen_graphs8(graphs8):
+    # measured with the restart-loop versions, in graphs8.g6 file order
+    def digest(lines):
+        return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+    assert digest(to_graph6(critical_subgraph(g)) + "\n" for g in graphs8) == (
+        "efd7cfdbc4618ade55057c2704b47fa763f5ebe4207ccd21a11359532ee79524")
+    assert digest(f"{peel_max_stable_set(g).set.bits}\n" for g in graphs8) == (
+        "df0f51ed79ee4d63bb6e435f91f78114363a9f929e77081b628def6f9f529f2d")
+    counts = [len(critical_edges(g).edges) for g in graphs8]
+    assert sum(counts) == 26715
+    assert digest(f"{c}\n" for c in counts) == (
+        "e3cc63d1aa602288274d2a29cfd62ea0c820f1d26eb23ca2ca4ca823aad8a408")
+    assert sum(is_alpha_critical(g) for g in graphs8) == 40
