@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .covers import rho_tilde
 from .enumeration import ENUMERATE_MAX_N, connected_graphs_upto, enumerate_connected
@@ -57,13 +57,22 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
-def _input_lines(path: str | None) -> list[str]:
-    if path is None:
-        return sys.stdin.read().splitlines()
+def _read_graph6(path: str | None) -> Iterator[tuple[int, str, Graph | Graph6Error]]:
+    """(line number, text, graph or its parse error) per non-blank line of PATH
+    or stdin, decoded as latin-1 so that an error names the byte really read."""
     try:
-        return Path(path).read_text().splitlines()
+        data = sys.stdin.buffer.read() if path is None else Path(path).read_bytes()
     except OSError as exc:
         raise _CliError(2, f"cannot read {path}: {exc}") from exc
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        line = raw.strip().decode("latin-1")
+        if not line:
+            continue
+        try:
+            g = parse_graph6(line)
+        except Graph6Error as exc:
+            g = exc
+        yield lineno, line, g
 
 
 def _load_corpus(args) -> tuple[list[Graph], int]:
@@ -71,14 +80,10 @@ def _load_corpus(args) -> tuple[list[Graph], int]:
     if args.enumerate is not None:
         return list(connected_graphs_upto(args.enumerate)), args.enumerate
     graphs = []
-    for lineno, raw in enumerate(_input_lines(args.file), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            graphs.append(parse_graph6(line))
-        except Graph6Error as exc:
-            raise _CliError(2, f"{args.file}, line {lineno}: {exc}") from exc
+    for lineno, _, g in _read_graph6(args.file):
+        if isinstance(g, Graph6Error):
+            raise _CliError(2, f"{args.file}, line {lineno}: {g}")
+        graphs.append(g)
     return graphs, max((g.n for g in graphs), default=0)
 
 
@@ -114,17 +119,12 @@ def cmd_analyze(args) -> int:
     if args.all or not want:
         want = set(ANALYSES)
     status = 0
-    for lineno, raw in enumerate(_input_lines(args.file), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            g = parse_graph6(line)
-        except Graph6Error as exc:
-            print(f"line {lineno}: {exc}", file=sys.stderr)
+    for lineno, line, g in _read_graph6(args.file):
+        if isinstance(g, Graph6Error):
+            print(f"line {lineno}: {g}", file=sys.stderr)
             status = 2
-            continue
-        _emit(_analysis_record(g, line, want))
+        else:
+            _emit(_analysis_record(g, line, want))
     return status
 
 

@@ -16,7 +16,8 @@ from importlib import resources
 from itertools import permutations
 from typing import Iterator
 
-from .graphs import Graph, SizeLimitError, delete_vertex, is_connected, parse_graph6
+# parse_graph6 stays a global here: perfbench's tracer patches it by name
+from .graphs import Graph, SizeLimitError, delete_vertex, is_connected, parse_graph6, read_graph6_lines  # noqa: F401
 
 CANONICAL_MAX_N = 9
 ENUMERATE_MAX_N = 8
@@ -94,4 +95,4 @@ def packaged_corpus(name: str) -> tuple[Graph, ...]:
         text = path.read_text()
     except FileNotFoundError:
         raise SizeLimitError(f"packaged corpus data/{name}.g6 is missing") from None
-    return tuple(parse_graph6(line) for line in text.splitlines() if line.strip())
+    return tuple(read_graph6_lines(text.splitlines()))

@@ -326,10 +326,10 @@ def parse_graph6(line: str) -> Graph:
     text = line.rstrip("\n")
     if not text:
         raise Graph6Error("empty graph6 line", offset=0)
-    data = text.encode("ascii", errors="replace")
-    for i, b in enumerate(data):
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"byte {b} at offset {i} outside printable graph6 range 63..126", offset=i)
+    for i, c in enumerate(text):
+        if not 63 <= ord(c) <= 126:
+            raise Graph6Error(f"byte {ord(c)} at offset {i} outside printable graph6 range 63..126", offset=i)
+    data = text.encode("ascii")
     n = data[0] - _G6_OFFSET
     if n > MAX_N:
         raise Graph6Error(f"header at offset 0 encodes n={n}, beyond the {MAX_N}-vertex cap", offset=0)

@@ -22,13 +22,19 @@ Checked statements, in the vocabulary of this package:
   cube            the five cube properties isolate Q3 in the corpus
   witness         search for a triangle where exactly two deletions contain a
                   TOK4 (the non-strengthenability witness)
+
+run_claim dispatches each sweep claim through one table, _SWEEPS: its
+applicability reason, its unit (graph, vertex, triangle or corpus) and its
+checker. Every per-graph reason, in a sweep and in a direct check_* call
+alike, starts from one cached fact per graph, _standing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .enumeration import canonical_form, connected_graphs_upto
 from .graphs import (
@@ -69,8 +75,6 @@ CLAIM_IDS = (
     "cube",
     "witness",
 )
-# case1/case2 build graphs rather than sweep them, so run_claim skips those.
-SWEEP_CLAIMS = tuple(c for c in CLAIM_IDS if c not in ("case1", "case2"))
 VERDICTS = ("pass", "fail", "inapplicable")
 
 
@@ -129,21 +133,30 @@ def triangles(g: Graph) -> list[Triangle]:
     return out
 
 
-def _is_odd_cycle_graph(g: Graph) -> bool:
-    return g.n >= 3 and g.n % 2 == 1 and g.m == g.n and all(d.bit_count() == 2 for d in g.adj) and is_connected(g)
-
-
-def _theorem1_reason(g: Graph) -> str | None:
-    """None when theorem 1 applies; otherwise why it does not."""
+# a sweep asks this of every graph once per claim; 1 << 14 holds all of graphs8.g6
+@lru_cache(maxsize=1 << 14)
+def _standing(g: Graph) -> str | None:
+    """Why g is not a nonempty connected alpha-critical graph, or None."""
+    if g.n == 0:
+        return "no vertices"
     if not is_connected(g):
         return "not connected"
     if not is_alpha_critical(g):
         return "not alpha-critical"
+    return None
+
+
+def _theorem1_reason(g: Graph) -> str | None:
+    """None when theorem 1 applies; otherwise why it does not."""
+    reason = _standing(g)
+    if reason is not None:
+        return reason
     if g.n == 1:
         return "excluded base graph K1"
-    if g.n == 2 and g.m == 1:
+    if g.n == 2:
         return "excluded base graph K2"
-    if _is_odd_cycle_graph(g):
+    # g is connected, so 2-regular means a cycle
+    if g.n % 2 == 1 and all(row.bit_count() == 2 for row in g.adj):
         return "excluded base graph: odd cycle"
     return None
 
@@ -178,30 +191,33 @@ def check_theorem2(g: Graph, t: Triangle) -> ClaimReport:
     if reason is not None:
         return ClaimReport("theorem2", code, "inapplicable", {"reason": reason, "triangle": list(t.vertices())})
     deletions = []
-    hits = 0
     for x in t.vertices():
         reduced, vmap = delete_vertex(g, x)
         cert = find_tok4(reduced)
         if cert is not None:
             assert verify_tok4(reduced, cert)
-            hits += 1
         deletions.append({
             "deleted": x,
             "map": list(vmap),
             "tok4": cert.to_obj() if cert else None,
         })
+    hits = sum(d["tok4"] is not None for d in deletions)
     witness = {"triangle": list(t.vertices()), "deletions": deletions}
     return ClaimReport("theorem2", code, "pass" if hits >= 2 else "fail", witness)
 
 
+def _lemma1_reason(g: Graph) -> str | None:
+    reason = _standing(g)
+    if reason is None and g.n < 4:
+        reason = "fewer than 4 vertices"
+    return reason
+
+
 def check_lemma_deg2(g: Graph) -> ClaimReport:
     code = to_graph6(g)
-    if not is_connected(g):
-        return ClaimReport("lemma1", code, "inapplicable", {"reason": "not connected"})
-    if not is_alpha_critical(g):
-        return ClaimReport("lemma1", code, "inapplicable", {"reason": "not alpha-critical"})
-    if g.n < 4:
-        return ClaimReport("lemma1", code, "inapplicable", {"reason": "fewer than 4 vertices"})
+    reason = _lemma1_reason(g)
+    if reason is not None:
+        return ClaimReport("lemma1", code, "inapplicable", {"reason": reason})
     for v in range(g.n):
         if g.degree(v) < 2:
             return ClaimReport("lemma1", code, "fail", {"vertex": v, "reason": f"degree {g.degree(v)} < 2"})
@@ -225,23 +241,25 @@ def check_lemma_deg2(g: Graph) -> ClaimReport:
     return ClaimReport("lemma1", code, "pass", {"degree2": exhibits} if exhibits else None)
 
 
-def _claim_reason(g: Graph, claim_id: str) -> str | None:
-    if not is_connected(g):
-        return "not connected"
-    if not is_alpha_critical(g):
-        return "not alpha-critical"
-    if g.n < 2:
-        return "single vertex: deleting it changes alpha"
+def _deletion_reason(g: Graph) -> str | None:
+    reason = _standing(g)
+    if reason is None and g.n < 2:
+        reason = "single vertex: deleting it changes alpha"
+    return reason
+
+
+def _scan_reason(g: Graph) -> str | None:
     # claim2 and eq1_consistency go through critical_edges_avoiding, whose
     # exhaustive stable-set scan is capped
-    if claim_id != "claim3" and g.n > ALL_STABLE_MAX_N:
-        return f"exhaustive stable-set scan capped at n={ALL_STABLE_MAX_N}, got {g.n}"
-    return None
+    reason = _deletion_reason(g)
+    if reason is None and g.n > ALL_STABLE_MAX_N:
+        reason = f"exhaustive stable-set scan capped at n={ALL_STABLE_MAX_N}, got {g.n}"
+    return reason
 
 
 def check_claim_delta(g: Graph, u: int) -> ClaimReport:
     code = to_graph6(g)
-    reason = _claim_reason(g, "claim2")
+    reason = _scan_reason(g)
     if reason is not None:
         return ClaimReport("claim2", code, "inapplicable", {"vertex": u, "reason": reason})
     reduced_crit = g_minus_c(g, u)
@@ -261,7 +279,7 @@ def check_claim_delta(g: Graph, u: int) -> ClaimReport:
 
 def check_claim_uvw(g: Graph, u: int) -> ClaimReport:
     code = to_graph6(g)
-    reason = _claim_reason(g, "claim3")
+    reason = _deletion_reason(g)
     if reason is not None:
         return ClaimReport("claim3", code, "inapplicable", {"vertex": u, "reason": reason})
     targets = [
@@ -281,7 +299,7 @@ def check_claim_uvw(g: Graph, u: int) -> ClaimReport:
 
 def check_eq1_consistency(g: Graph, u: int) -> ClaimReport:
     code = to_graph6(g)
-    reason = _claim_reason(g, "eq1_consistency")
+    reason = _scan_reason(g)
     if reason is not None:
         return ClaimReport("eq1_consistency", code, "inapplicable", {"vertex": u, "reason": reason})
     reduced, vmap = delete_vertex(g, u)
@@ -411,23 +429,18 @@ def lift_tok4_through_gadget(k: Tok4Certificate, info: GadgetInfo) -> Tok4Certif
     return cert
 
 
-_CUBE_CODE_CACHE: dict[int, str] = {}
-
-
 def _cube_survivor_filter(g: Graph) -> bool:
     if g.n == 0 or not is_connected(g):
         return False
     if any(row.bit_count() != 3 for row in g.adj):
         return False
-    for v in range(g.n):
-        for a, b in combinations(g.neighbors(v), 2):
-            if g.adj[a] >> b & 1:
-                return False  # triangle
     for a, b in combinations(range(g.n), 2):
         if (g.adj[a] & g.adj[b]).bit_count() >= 3:
             return False  # K_{2,3} subgraph
     for v in range(g.n):
         for a, b in combinations(g.neighbors(v), 2):
+            if g.adj[a] >> b & 1:
+                return False  # triangle
             if not g.adj[a] & g.adj[b] & ~(1 << v):
                 return False  # incident edge pair on no 4-cycle
     return True
@@ -475,80 +488,65 @@ def find_strengthening_witness(corpus: Iterable[Graph]):
 
 def witness_report(corpus: Iterable[Graph], bound: int) -> ClaimReport:
     """Corpus-level report for the strengthening-witness search."""
-    graphs = list(corpus)
-    found = find_strengthening_witness(graphs)
+    found = find_strengthening_witness(corpus)
     if found is None:
         return ClaimReport("witness", "", "pass", {"found": False, "searched_bound": bound})
     g, t = found
-    deletions = []
-    for x in t.vertices():
-        reduced, vmap = delete_vertex(g, x)
-        cert = find_tok4(reduced)
-        if cert is not None:
-            assert verify_tok4(reduced, cert)
-        deletions.append({
-            "deleted": x,
-            "map": list(vmap),
-            "tok4": cert.to_obj() if cert else None,
-        })
-    assert sum(1 for d in deletions if d["tok4"] is not None) == 2
-    witness = {
-        "found": True,
-        "searched_bound": bound,
-        "triangle": list(t.vertices()),
-        "deletions": deletions,
-    }
+    instance = check_theorem2(g, t).witness
+    assert sum(1 for d in instance["deletions"] if d["tok4"] is not None) == 2
+    witness = {"found": True, "searched_bound": bound, **instance}
     return ClaimReport("witness", to_graph6(g), "pass", witness)
+
+
+def _cube_sweep(graphs: list[Graph], bound: int) -> ClaimReport:
+    try:
+        report = cube_uniqueness_check(bound, corpus=graphs)
+    except GraphError as exc:
+        return ClaimReport("cube", "", "inapplicable", {"reason": str(exc)})
+    if report.witness["survivors"]:
+        return report
+    # Q3 itself passes the filter, so a corpus with no survivor cannot hold
+    # every connected graph up to its largest order
+    reason = f"corpus lacks Q3, so it is not every connected graph up to n={bound}"
+    return ClaimReport("cube", "", "inapplicable", {"reason": reason})
+
+
+# A checker runs on each unit (the graph, a vertex, a triangle) of every graph
+# its reason accepts; a corpus checker gets the corpus and its largest order.
+_UNITS = {
+    "graph": lambda g, check: [check(g)],
+    "vertex": lambda g, check: [check(g, u) for u in range(g.n)],
+    "triangle": lambda g, check: [check(g, t) for t in triangles(g)],
+}
+_SWEEPS = {
+    "theorem1": (_theorem1_reason, "graph", check_theorem1),
+    "theorem2": (_theorem2_reason, "triangle", check_theorem2),
+    "lemma1": (_lemma1_reason, "graph", check_lemma_deg2),
+    "claim2": (_scan_reason, "vertex", check_claim_delta),
+    "claim3": (_deletion_reason, "vertex", check_claim_uvw),
+    "eq1_consistency": (_scan_reason, "vertex", check_eq1_consistency),
+    "cube": (None, "corpus", _cube_sweep),
+    "witness": (None, "corpus", witness_report),
+}
+# case1/case2 build graphs rather than sweep them, so they have no row.
+SWEEP_CLAIMS = tuple(_SWEEPS)
 
 
 def run_claim(claim_id: str, corpus: Iterable[Graph]) -> list[ClaimReport]:
     """Run one claim over a corpus; reports come back sorted by graph6 code."""
-    graphs = list(corpus)
-    reports: list[ClaimReport] = []
-    if claim_id == "theorem1":
-        reports = [check_theorem1(g) for g in graphs]
-    elif claim_id == "theorem2":
-        for g in graphs:
-            reason = _theorem2_reason(g)
-            if reason is not None:
-                reports.append(ClaimReport("theorem2", to_graph6(g), "inapplicable", {"reason": reason}))
-                continue
-            tris = triangles(g)
-            if not tris:
-                reports.append(ClaimReport("theorem2", to_graph6(g), "inapplicable", {"reason": "no triangle"}))
-                continue
-            reports.extend(check_theorem2(g, t) for t in tris)
-    elif claim_id == "lemma1":
-        reports = [check_lemma_deg2(g) for g in graphs]
-    elif claim_id in ("claim2", "claim3", "eq1_consistency"):
-        checker = {
-            "claim2": check_claim_delta,
-            "claim3": check_claim_uvw,
-            "eq1_consistency": check_eq1_consistency,
-        }[claim_id]
-        for g in graphs:
-            reason = _claim_reason(g, claim_id)
-            if reason is not None:
-                reports.append(ClaimReport(claim_id, to_graph6(g), "inapplicable", {"reason": reason}))
-                continue
-            reports.extend(checker(g, u) for u in range(g.n))
-    elif claim_id == "cube":
-        bound = max((g.n for g in graphs), default=0)
-        try:
-            report = cube_uniqueness_check(bound, corpus=graphs)
-        except GraphError as exc:
-            report = ClaimReport("cube", "", "inapplicable", {"reason": str(exc)})
-        else:
-            if not report.witness["survivors"]:
-                # Q3 itself passes the filter, so a corpus with no survivor
-                # cannot hold every connected graph up to its largest order
-                reason = f"corpus lacks Q3, so it is not every connected graph up to n={bound}"
-                report = ClaimReport("cube", "", "inapplicable", {"reason": reason})
-        reports = [report]
-    elif claim_id == "witness":
-        bound = max((g.n for g in graphs), default=0)
-        reports = [witness_report(graphs, bound)]
-    else:
+    if claim_id not in _SWEEPS:
         raise ValueError(f"unknown claim id {claim_id!r}")
+    reason_of, unit, check = _SWEEPS[claim_id]
+    graphs = list(corpus)
+    if unit == "corpus":
+        return [check(graphs, max((g.n for g in graphs), default=0))]
+    reports: list[ClaimReport] = []
+    for g in graphs:
+        reason = reason_of(g)
+        found = [] if reason else _UNITS[unit](g, check)
+        if not found:
+            reason = reason or f"no {unit}"
+            reports.append(ClaimReport(claim_id, to_graph6(g), "inapplicable", {"reason": reason}))
+        reports.extend(found)
     reports.sort(key=lambda r: r.graph_code)
     return reports

@@ -4,10 +4,12 @@ Every expected stdout line is frozen byte-for-byte: the tool promises stable
 output for identical input, and these tests are that promise.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
 
+from alphacrit import cli
 from alphacrit.graphs import complete_graph, cycle_graph, to_graph6
 
 CLI = [sys.executable, "-m", "alphacrit.cli"]
@@ -68,6 +70,34 @@ def test_analyze_bad_line_keeps_streaming(tmp_path):
     assert json.loads(lines[0])["graph6"] == "Dhc"
     assert json.loads(lines[1])["graph6"] == "C~"
     assert r.stderr == "line 2: byte 45 at offset 3 outside printable graph6 range 63..126\n"
+
+
+BAD_BYTE = "line 2: byte 255 at offset 0 outside printable graph6 range 63..126"
+
+
+def run_cli_bytes(*args, stdin=b""):
+    return subprocess.run(CLI + list(args), input=stdin, capture_output=True, timeout=300)
+
+
+def test_invalid_byte_in_file_is_a_parse_error(tmp_path):
+    # \xff is neither UTF-8 nor a graph6 byte
+    f = tmp_path / "bad.g6"
+    f.write_bytes(b"Dhc\n\xff\nC~\n")
+    r = run_cli_bytes("analyze", "--alpha", "--file", str(f))
+    assert r.returncode == 2
+    assert [json.loads(line)["graph6"] for line in r.stdout.splitlines()] == ["Dhc", "C~"]
+    assert r.stderr.decode() == BAD_BYTE + "\n"
+    for cmd in (["verify", "theorem1"], ["witness"]):
+        r = run_cli_bytes(*cmd, "--file", str(f))
+        assert r.returncode == 2 and r.stdout == b""
+        assert r.stderr.decode() == f"{f}, {BAD_BYTE}\n"
+
+
+def test_invalid_byte_on_stdin_is_a_parse_error():
+    r = run_cli_bytes("analyze", "--alpha", stdin=b"Dhc\n\xff\nC~\n")
+    assert r.returncode == 2
+    assert [json.loads(line)["graph6"] for line in r.stdout.splitlines()] == ["Dhc", "C~"]
+    assert r.stderr.decode() == BAD_BYTE + "\n"
 
 
 def test_analyze_missing_file():
@@ -223,3 +253,27 @@ def test_analyze_all_at_the_vertex_cap(tmp_path):
     assert [(rec["n"], rec["alpha_critical"], rec["critical_edge_count"]) for rec in recs] == [
         (31, True, 31), (32, False, 0), (32, True, 496)]
     assert all(rec["skipped"] == {"cover": f"cover DP capped at n=9, got {rec['n']}"} for rec in recs)
+
+
+def test_verify_null_graph_is_inapplicable(tmp_path):
+    # K0 is not a connected alpha-critical graph with a vertex, so no claim
+    # about such graphs may fail on it
+    f = tmp_path / "k0.g6"
+    f.write_text("?\n")
+    r = run_cli("verify", "--file", str(f))
+    assert r.returncode == 0 and r.stderr == ""
+    recs = [json.loads(line) for line in r.stdout.splitlines()]
+    assert all(rec["witness"] == {"reason": "no vertices"} for rec in recs[:6])
+    summary = recs[-1]["summary"]
+    assert (summary["pass"], summary["fail"], summary["inapplicable"]) == (1, 0, 7)
+
+
+def test_verify_enumerate_7_stdout_frozen(capsys):
+    # digest of the whole sweep's output: any change in a verdict, a witness
+    # or the report order shows here
+    rc = cli.main(["verify", "--enumerate", "7"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "057d45890fafddbe72bceeb092faf997818c7a20a5e68e092d35def647d56a42"
+    )

@@ -151,6 +151,10 @@ def test_graph6_parse_errors_name_offsets():
     with pytest.raises(Graph6Error) as info:
         parse_graph6("B !")
     assert info.value.offset == 1
+    with pytest.raises(Graph6Error) as info:
+        parse_graph6("C\u00e9")  # non-ASCII, not read as the valid byte "?"
+    assert info.value.offset == 1
+    assert str(info.value) == "byte 233 at offset 1 outside printable graph6 range 63..126"
     with pytest.raises(Graph6Error):
         parse_graph6("")
     with pytest.raises(Graph6Error):
