@@ -54,7 +54,6 @@ from .graphs import (
     to_graph6,
 )
 from .stability import (
-    ALL_STABLE_MAX_N,
     alpha,
     critical_edges,
     critical_edges_avoiding,
@@ -248,18 +247,9 @@ def _deletion_reason(g: Graph) -> str | None:
     return reason
 
 
-def _scan_reason(g: Graph) -> str | None:
-    # claim2 and eq1_consistency go through critical_edges_avoiding, whose
-    # exhaustive stable-set scan is capped
-    reason = _deletion_reason(g)
-    if reason is None and g.n > ALL_STABLE_MAX_N:
-        reason = f"exhaustive stable-set scan capped at n={ALL_STABLE_MAX_N}, got {g.n}"
-    return reason
-
-
 def check_claim_delta(g: Graph, u: int) -> ClaimReport:
     code = to_graph6(g)
-    reason = _scan_reason(g)
+    reason = _deletion_reason(g)
     if reason is not None:
         return ClaimReport("claim2", code, "inapplicable", {"vertex": u, "reason": reason})
     reduced_crit = g_minus_c(g, u)
@@ -299,7 +289,7 @@ def check_claim_uvw(g: Graph, u: int) -> ClaimReport:
 
 def check_eq1_consistency(g: Graph, u: int) -> ClaimReport:
     code = to_graph6(g)
-    reason = _scan_reason(g)
+    reason = _deletion_reason(g)
     if reason is not None:
         return ClaimReport("eq1_consistency", code, "inapplicable", {"vertex": u, "reason": reason})
     reduced, vmap = delete_vertex(g, u)
@@ -522,9 +512,9 @@ _SWEEPS = {
     "theorem1": (_theorem1_reason, "graph", check_theorem1),
     "theorem2": (_theorem2_reason, "triangle", check_theorem2),
     "lemma1": (_lemma1_reason, "graph", check_lemma_deg2),
-    "claim2": (_scan_reason, "vertex", check_claim_delta),
+    "claim2": (_deletion_reason, "vertex", check_claim_delta),
     "claim3": (_deletion_reason, "vertex", check_claim_uvw),
-    "eq1_consistency": (_scan_reason, "vertex", check_eq1_consistency),
+    "eq1_consistency": (_deletion_reason, "vertex", check_eq1_consistency),
     "cube": (None, "corpus", _cube_sweep),
     "witness": (None, "corpus", witness_report),
 }

@@ -15,6 +15,15 @@ set avoiding N[u] | N[v] can take u, so it has at most alpha - 1 vertices. The
 test therefore runs alpha on the graph minus two closed neighborhoods instead
 of on G - uv.
 
+The same argument gives the deleted-vertex characterization in one pass per
+graph. If xy is critical, every maximum stable set of G - xy is {x, y} | T,
+where T is a stable set of G with |T| = alpha - 1 that avoids N[x] | N[y], and
+xy is critical iff such a T exists. So the (alpha - 1)-stable sets of G are
+enumerated once, by plain take/leave recursion kept separate from the branch
+and bound; for each edge the sets T that fit it are intersected, and some
+maximum stable set of G - xy misses u iff some T fits, u is not x or y, and u
+is outside that intersection.
+
 Criticality is monotone under alpha-preserving deletions: if alpha(G - e) >
 alpha(G) = alpha(G - f), then alpha(G - f - e) >= alpha(G - e) > alpha(G - f).
 The same holds for a vertex whose deletion lowers alpha. So
@@ -34,7 +43,6 @@ from .graphs import (
     GraphError,
     SizeLimitError,
     VertexSet,
-    delete_edge,
     delete_vertex,
     is_connected,
     iter_bits,
@@ -212,39 +220,76 @@ def critical_subgraph(g: Graph) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
+# claim2 and then eq1_consistency ask this of every vertex of each alpha-critical
+# graph in a sweep; 1 << 10 holds every one in the packaged corpora, relabelled too
+@lru_cache(maxsize=1 << 10)
+def _deleted_vertex_facts(g: Graph) -> tuple[bool, tuple[frozenset[Edge], ...]]:
+    """Whether g is alpha-critical, and for each vertex u the critical edges e
+    of g such that some maximum stable set of g - e misses u."""
+    adj = g.adj
+    edges = g.edges()
+    # uv is an edge, so adj[u] | adj[v] is N[u] | N[v]
+    closed = [adj[e.u] | adj[e.v] for e in edges]
+    fits = [False] * len(edges)
+    common = [g.vertex_mask()] * len(edges)
+
+    def rec(avail: int, chosen: int, need: int):
+        if need == 0:
+            for i, hood in enumerate(closed):
+                if not chosen & hood:
+                    fits[i] = True
+                    common[i] &= chosen
+            return
+        if avail.bit_count() < need:
+            return
+        low = avail & -avail
+        rec(avail & ~(adj[low.bit_length() - 1] | low), chosen | low, need - 1)
+        rec(avail & ~low, chosen, need)
+
+    rec(g.vertex_mask(), 0, alpha(g) - 1)
+    avoiding = tuple(
+        frozenset(e for e, fit, shared in zip(edges, fits, common)
+                  if fit and u != e.u and u != e.v and not shared >> u & 1)
+        for u in range(g.n)
+    )
+    # an edge is critical iff some T fits it
+    return all(fits), avoiding
+
+
 def critical_edges_avoiding(g: Graph, u: int) -> frozenset[Edge]:
     """Critical edges e of g such that some maximum stable set of g - e misses u.
 
-    The existential is evaluated by exhaustive stable-set enumeration, kept
-    deliberately separate from the branch-and-bound path.
+    If e = xy is critical, every maximum stable set of g - e is {x, y} | T for
+    a stable set T of g with |T| = alpha(g) - 1 avoiding N[x] | N[y], and e is
+    critical iff such a T exists. So e qualifies iff some T fits it, u is not
+    x or y, and some fitting T misses u. The sets T come from one exhaustive
+    enumeration per graph, kept separate from the branch and bound that
+    critical_edges uses.
     """
     g._check_vertex(u)
-    out = []
-    for e in critical_edges(g).sorted_edges():
-        reduced = delete_edge(g, e)
-        if any(u not in s for s in all_max_stable_sets(reduced)):
-            out.append(e)
-    return frozenset(out)
+    return _deleted_vertex_facts(g)[1][u]
 
 
 def g_minus_c(g: Graph, u: int) -> Graph:
     """The graph on V(g - u) whose edges are the critical edges of g - u.
 
     Requires g connected and alpha-critical with at least 2 vertices, so that
-    alpha(g - u) = alpha(g). The result is cross-checked against the
-    characterization via critical edges of g with a maximum stable set of
-    g - e avoiding u; a mismatch raises EquationMismatchError.
+    alpha(g - u) = alpha(g); criticality is read off the per-graph
+    enumeration behind critical_edges_avoiding. The result is cross-checked
+    against the characterization via critical edges of g with a maximum stable
+    set of g - e avoiding u; a mismatch raises EquationMismatchError.
     """
     g._check_vertex(u)
     if g.n < 2:
         raise CriticalityError("needs at least 2 vertices: deleting the only vertex changes alpha")
     if not is_connected(g):
         raise CriticalityError("input graph is not connected")
-    if not is_alpha_critical(g):
+    critical, avoiding = _deleted_vertex_facts(g)
+    if not critical:
         raise CriticalityError("input graph is not alpha-critical")
     reduced, vmap = delete_vertex(g, u)
     crit = critical_edges(reduced).edges
-    alt = critical_edges_avoiding(g, u)
+    alt = avoiding[u]
     back = frozenset(Edge(vmap[e.u], vmap[e.v]) for e in crit)
     if back != alt:
         raise EquationMismatchError(

@@ -4,17 +4,20 @@ Everything here is deliberately naive: exhaustive subset scans and
 generate-and-test searches with no pruning, memoization, or shared code
 paths with the library. Usable only at toy sizes, which is the point.
 
-The two restart loops at the end are the exception: they are the former
-library versions of critical_subgraph and peel_max_stable_set, kept as the
-reference for the single-pass versions. They restart after every deletion and
-decide each step with alpha on the freshly built smaller graph, so they share
-only alpha with the code they check.
+The three functions at the end are the exception: they are former library
+versions, kept as the reference for the code that replaced them. The two
+restart loops stand behind the single passes of critical_subgraph and
+peel_max_stable_set; they restart after every deletion and decide each step
+with alpha on the freshly built smaller graph, so they share only alpha with
+the code they check. scan_critical_edges_avoiding stands behind the one
+(alpha - 1)-stable-set enumeration per graph of critical_edges_avoiding; it
+builds g - e for every critical edge and scans all 2^n subsets of it.
 """
 
 from itertools import combinations, permutations
 
-from alphacrit.graphs import Graph, VertexSet, delete_edge, delete_vertex
-from alphacrit.stability import alpha
+from alphacrit.graphs import Edge, Graph, VertexSet, delete_edge, delete_vertex
+from alphacrit.stability import all_max_stable_sets, alpha, critical_edges
 
 
 def brute_alpha(g: Graph) -> int:
@@ -135,3 +138,14 @@ def loop_peel_max_stable_set(g: Graph) -> VertexSet:
                 break
         else:
             return VertexSet.of(labels)
+
+
+def scan_critical_edges_avoiding(g: Graph, u: int) -> frozenset[Edge]:
+    """Critical edges e of g such that some maximum stable set of g - e misses
+    u, by scanning every maximum stable set of each g - e."""
+    out = []
+    for e in critical_edges(g).sorted_edges():
+        reduced = delete_edge(g, e)
+        if any(u not in s for s in all_max_stable_sets(reduced)):
+            out.append(e)
+    return frozenset(out)

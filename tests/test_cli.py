@@ -8,6 +8,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from alphacrit import cli
 from alphacrit.graphs import complete_graph, cycle_graph, to_graph6
@@ -134,22 +135,38 @@ def test_verify_failure_exits_one(tmp_path):
     assert json.loads(lines[-1])["summary"]["fail"] == 1
 
 
-def test_verify_size_capped_claims_are_inapplicable(tmp_path):
-    # C17 is alpha-critical, but claim2 and eq1_consistency scan every
-    # stable set, which is capped at 16 vertices
+def test_verify_deleted_vertex_claims_above_16_vertices(tmp_path):
+    # C17 - u has a perfect matching of 8 critical edges, so claim2 finds max
+    # degree 1 and the two constructions of that matching agree at every u
+    code = "PhCGGC@?G?_@?@??_?G?@_?C"
     f = tmp_path / "c17.g6"
-    f.write_text("PhCGGC@?G?_@?@??_?G?@_?C\n")
-    for claim in ("claim2", "eq1_consistency"):
-        r = run_cli("verify", claim, "--file", str(f))
-        assert r.returncode == 0 and r.stderr == ""
-        assert r.stdout == (
-            f'{{"claim": "{claim}", "graph6": "PhCGGC@?G?_@?@??_?G?@_?C", "verdict": "inapplicable",'
-            ' "witness": {"reason": "exhaustive stable-set scan capped at n=16, got 17"}}\n'
-            f'{{"summary": {{"claims": ["{claim}"], "graphs": 1, "pass": 0, "fail": 0, "inapplicable": 1}}}}\n'
-        )
+    f.write_text(code + "\n")
+    r = run_cli("verify", "claim2", "--file", str(f))
+    assert r.returncode == 0 and r.stderr == ""
+    assert r.stdout == "".join(
+        f'{{"claim": "claim2", "graph6": "{code}", "verdict": "inapplicable",'
+        f' "witness": {{"vertex": {u}, "max_degree": 1}}}}\n' for u in range(17)
+    ) + '{"summary": {"claims": ["claim2"], "graphs": 1, "pass": 0, "fail": 0, "inapplicable": 17}}\n'
+    r = run_cli("verify", "eq1_consistency", "--file", str(f))
+    assert r.returncode == 0 and r.stderr == ""
+    assert r.stdout == "".join(
+        f'{{"claim": "eq1_consistency", "graph6": "{code}", "verdict": "pass",'
+        f' "witness": {{"vertex": {u}, "edge_count": 8}}}}\n' for u in range(17)
+    ) + '{"summary": {"claims": ["eq1_consistency"], "graphs": 1, "pass": 17, "fail": 0, "inapplicable": 0}}\n'
     r = run_cli("verify", "claim3", "--file", str(f))
     assert r.returncode == 0
     assert json.loads(r.stdout.splitlines()[-1])["summary"]["pass"] == 17
+
+
+def test_verify_deleted_vertex_claims_on_c31(tmp_path):
+    f = tmp_path / "c31.g6"
+    f.write_text(to_graph6(cycle_graph(31)) + "\n")
+    for claim, verdict in (("claim2", "inapplicable"), ("eq1_consistency", "pass")):
+        r = run_cli("verify", claim, "--file", str(f))
+        assert r.returncode == 0 and r.stderr == ""
+        recs = [json.loads(line) for line in r.stdout.splitlines()]
+        assert [rec["verdict"] for rec in recs[:-1]] == [verdict] * 31
+        assert recs[-1]["summary"][verdict] == 31
 
 
 def test_verify_unknown_claim_is_usage_error():
@@ -234,14 +251,14 @@ def test_verify_cube_without_q3_is_inapplicable(tmp_path):
 
 
 def test_verify_every_claim_above_every_cap(tmp_path):
-    # C17 is above the 16-vertex stable-set scan cap, and no claim may
-    # turn that into a traceback
+    # C17 is larger than the 16-vertex cap of all_max_stable_sets's 2^n scan;
+    # every claim runs on it in full, and none may end in a traceback
     f = tmp_path / "c17.g6"
     f.write_text("PhCGGC@?G?_@?@??_?G?@_?C\n")
     r = run_cli("verify", "--file", str(f))
     assert r.returncode == 0 and r.stderr == ""
     summary = json.loads(r.stdout.splitlines()[-1])["summary"]
-    assert (summary["pass"], summary["inapplicable"], summary["fail"]) == (19, 5, 0)
+    assert (summary["pass"], summary["inapplicable"], summary["fail"]) == (36, 20, 0)
 
 
 def test_analyze_all_at_the_vertex_cap(tmp_path):
@@ -276,4 +293,16 @@ def test_verify_enumerate_7_stdout_frozen(capsys):
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "057d45890fafddbe72bceeb092faf997818c7a20a5e68e092d35def647d56a42"
+    )
+
+
+def test_verify_critical_corpus_stdout_frozen(capsys):
+    # every claim on the packaged alpha-critical classes: claim2 and
+    # eq1_consistency do real work on each of them
+    path = Path(cli.__file__).parent / "data" / "alpha_critical_upto9.g6"
+    rc = cli.main(["verify", "--file", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "63c6216aad65e1073eee860644e9edd1917a490bff3fc277d3405750a0ba012c"
     )

@@ -28,7 +28,12 @@ from alphacrit.stability import (
     is_alpha_critical,
     peel_max_stable_set,
 )
-from oracles import brute_alpha, loop_critical_subgraph, loop_peel_max_stable_set
+from oracles import (
+    brute_alpha,
+    loop_critical_subgraph,
+    loop_peel_max_stable_set,
+    scan_critical_edges_avoiding,
+)
 
 PETERSEN = parse_graph6("IsP@PGXD_")
 
@@ -242,6 +247,15 @@ def test_single_passes_match_restart_loops(corpus7_and_critical):
     for g in corpus7_and_critical:
         assert critical_subgraph(g) == loop_critical_subgraph(g)
         assert peel_max_stable_set(g).set == loop_peel_max_stable_set(g)
+
+
+def test_critical_edges_avoiding_matches_scan(corpus7_and_critical):
+    # one (alpha - 1)-stable-set enumeration per graph against a 2^n scan of
+    # every g - e; the graphs that are not alpha-critical check that an edge
+    # no stable set fits is exactly an edge that is not critical
+    for g in corpus7_and_critical:
+        for u in range(g.n):
+            assert critical_edges_avoiding(g, u) == scan_critical_edges_avoiding(g, u)
 
 
 def test_criticality_frozen_graphs8(graphs8):
