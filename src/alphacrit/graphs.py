@@ -282,13 +282,11 @@ def contract_degree2(g: Graph, u: int) -> Graph:
     return Graph(len(keep), tuple(rows))
 
 
-def components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
-    """Connected components in order of smallest member, each with its map back to g."""
-    out = []
+def _component_masks(g: Graph) -> Iterator[int]:
+    """Vertex masks of the connected components, in order of smallest member."""
     left = g.vertex_mask()
     while left:
-        start = (left & -left).bit_length() - 1
-        comp = 1 << start
+        comp = left & -left
         frontier = comp
         while frontier:
             grow = 0
@@ -296,16 +294,19 @@ def components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
                 grow |= g.adj[v]
             frontier = grow & left & ~comp
             comp |= frontier
-        sub, vmap = delete_vertices(g, iter_bits(g.vertex_mask() & ~comp))
-        out.append((sub, vmap))
+        yield comp
         left &= ~comp
-    return out
+
+
+def components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
+    """Connected components in order of smallest member, each with its map back to g."""
+    full = g.vertex_mask()
+    return [delete_vertices(g, iter_bits(full & ~comp)) for comp in _component_masks(g)]
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return len(components(g)) == 1
+    # the empty graph has no component and counts as connected
+    return next(_component_masks(g), 0) == g.vertex_mask()
 
 
 # graph6: header byte n+63 (n <= 62 here, and <= 32 by our vertex cap), then

@@ -23,6 +23,10 @@ Checked statements, in the vocabulary of this package:
   witness         search for a triangle where exactly two deletions contain a
                   TOK4 (the non-strengthenability witness)
 
+claim2, claim3 and eq1_consistency read the deleted-vertex critical graph G_u
+from stability.g_minus_c, which builds it once per (g, u) and compares it with
+eq. (1) there; eq1_consistency reports that comparison.
+
 run_claim dispatches each sweep claim through one table, _SWEEPS: its
 applicability reason, its unit (graph, vertex, triangle or corpus) and its
 checker. Every per-graph reason, in a sweep and in a direct check_* call
@@ -53,7 +57,9 @@ from .graphs import (
     mask_of,
     to_graph6,
 )
-from .stability import (
+# critical_edges and critical_edges_avoiding stay globals: perfbench's tracer patches them
+from .stability import (  # noqa: F401
+    EquationMismatchError,
     alpha,
     critical_edges,
     critical_edges_avoiding,
@@ -276,9 +282,9 @@ def check_claim_uvw(g: Graph, u: int) -> ClaimReport:
         e for e in g.edges()
         if u not in (e.u, e.v) and (g.has_edge(u, e.u) or g.has_edge(u, e.v))
     ]
-    reduced, vmap = delete_vertex(g, u)
-    kept = {Edge(vmap[e.u], vmap[e.v]) for e in critical_edges(reduced).edges}
-    missing = [e for e in targets if e not in kept]
+    reduced_crit = g_minus_c(g, u)
+    # in G_u a vertex x > u of g is x - 1
+    missing = [e for e in targets if not reduced_crit.has_edge(e.u - (e.u > u), e.v - (e.v > u))]
     if missing:
         return ClaimReport(
             "claim3", code, "fail",
@@ -292,19 +298,18 @@ def check_eq1_consistency(g: Graph, u: int) -> ClaimReport:
     reason = _deletion_reason(g)
     if reason is not None:
         return ClaimReport("eq1_consistency", code, "inapplicable", {"vertex": u, "reason": reason})
-    reduced, vmap = delete_vertex(g, u)
-    deleted_side = {Edge(vmap[e.u], vmap[e.v]) for e in critical_edges(reduced).edges}
-    avoiding_side = set(critical_edges_avoiding(g, u))
-    if deleted_side != avoiding_side:
+    try:
+        reduced_crit = g_minus_c(g, u)
+    except EquationMismatchError as exc:
         return ClaimReport(
             "eq1_consistency", code, "fail",
             {
                 "vertex": u,
-                "only_deleted_side": sorted([e.u, e.v] for e in deleted_side - avoiding_side),
-                "only_avoiding_side": sorted([e.u, e.v] for e in avoiding_side - deleted_side),
+                "only_deleted_side": [[e.u, e.v] for e in exc.only_deleted_side],
+                "only_avoiding_side": [[e.u, e.v] for e in exc.only_avoiding_side],
             },
         )
-    return ClaimReport("eq1_consistency", code, "pass", {"vertex": u, "edge_count": len(deleted_side)})
+    return ClaimReport("eq1_consistency", code, "pass", {"vertex": u, "edge_count": reduced_crit.m})
 
 
 def case1_rotation(g: Graph, u: int, u2: int, v: int, w: int | None = None) -> tuple[Graph, ClaimReport]:

@@ -24,6 +24,10 @@ and bound; for each edge the sets T that fit it are intersected, and some
 maximum stable set of G - xy misses u iff some T fits, u is not x or y, and u
 is outside that intersection.
 
+g_minus_c is the one construction of the deleted-vertex critical graph G_u (the
+critical edges of G - u), cached per (G, u). It is also the one place where G_u
+is compared with eq. (1), the avoiding-set characterization above.
+
 Criticality is monotone under alpha-preserving deletions: if alpha(G - e) >
 alpha(G) = alpha(G - f), then alpha(G - f - e) >= alpha(G - e) > alpha(G - f).
 The same holds for a vertex whose deletion lowers alpha. So
@@ -59,7 +63,14 @@ class EquationMismatchError(RuntimeError):
     """The two constructions of the deleted-vertex critical graph disagreed.
 
     This would falsify the identity they restate; it exists to fail loudly.
+    only_deleted_side and only_avoiding_side hold the edges that just one
+    construction gave, as sorted Edge lists in the host graph's labels.
     """
+
+    def __init__(self, message: str, only_deleted_side: list[Edge], only_avoiding_side: list[Edge]):
+        super().__init__(message)
+        self.only_deleted_side = only_deleted_side
+        self.only_avoiding_side = only_avoiding_side
 
 
 @dataclass(frozen=True)
@@ -220,8 +231,8 @@ def critical_subgraph(g: Graph) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
-# claim2 and then eq1_consistency ask this of every vertex of each alpha-critical
-# graph in a sweep; 1 << 10 holds every one in the packaged corpora, relabelled too
+# g_minus_c asks this once per (g, u) it builds; 1 << 10 holds every
+# alpha-critical graph in the packaged corpora, relabelled too
 @lru_cache(maxsize=1 << 10)
 def _deleted_vertex_facts(g: Graph) -> tuple[bool, tuple[frozenset[Edge], ...]]:
     """Whether g is alpha-critical, and for each vertex u the critical edges e
@@ -270,14 +281,18 @@ def critical_edges_avoiding(g: Graph, u: int) -> frozenset[Edge]:
     return _deleted_vertex_facts(g)[1][u]
 
 
+# claim2, claim3 and eq1_consistency each ask this of every vertex of each alpha-critical
+# graph in a sweep; 1 << 12 holds every (g, u) of the packaged corpora, relabelled too
+@lru_cache(maxsize=1 << 12)
 def g_minus_c(g: Graph, u: int) -> Graph:
-    """The graph on V(g - u) whose edges are the critical edges of g - u.
+    """The deleted-vertex critical graph G_u: the graph on V(g - u) whose edges
+    are the critical edges of g - u. A vertex x > u of g is x - 1 in G_u.
 
     Requires g connected and alpha-critical with at least 2 vertices, so that
     alpha(g - u) = alpha(g); criticality is read off the per-graph
     enumeration behind critical_edges_avoiding. The result is cross-checked
-    against the characterization via critical edges of g with a maximum stable
-    set of g - e avoiding u; a mismatch raises EquationMismatchError.
+    against eq. (1), the critical edges of g with a maximum stable set of
+    g - e avoiding u; a mismatch raises EquationMismatchError.
     """
     g._check_vertex(u)
     if g.n < 2:
@@ -294,7 +309,9 @@ def g_minus_c(g: Graph, u: int) -> Graph:
     if back != alt:
         raise EquationMismatchError(
             f"critical edges of g-{u} disagree with the avoiding-set characterization: "
-            f"{sorted(back)} vs {sorted(alt)}"
+            f"{sorted(back)} vs {sorted(alt)}",
+            sorted(back - alt),
+            sorted(alt - back),
         )
     return Graph.from_edges(reduced.n, crit)
 

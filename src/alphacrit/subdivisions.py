@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .graphs import Graph, iter_bits, mask_of
+from .graphs import Graph, is_connected, iter_bits, mask_of
 
 # unordered pairs of branch slots, lexicographic; slot names a,b,c,d
 PAIR_SLOTS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -147,37 +147,13 @@ def contains_tok4(g: Graph) -> bool:
 def is_tok4_graph(g: Graph) -> bool:
     """True iff g itself is a totally odd K4-subdivision (not just contains one).
 
-    Checks the degree profile (four 3s, rest 2s), then suppresses the degree-2
-    chains and requires the result to be a simple K4 with all six chains of
-    odd length.
+    This is exact. Let every vertex of g have degree 2 except four of degree 3.
+    A TOK4 inside g has its four branch vertices at degree 3 and its path
+    interiors at degree 2, so it uses every edge of g at each of its vertices
+    and is a union of components of g. So if g is connected, the TOK4 is all
+    of g, and the exhaustive find_tok4 finds one iff g is a TOK4.
     """
-    if g.n < 4:
-        return False
     degs = sorted(g.degree(v) for v in range(g.n))
     if degs != [2] * (g.n - 4) + [3, 3, 3, 3]:
         return False
-    branch = [v for v in range(g.n) if g.degree(v) == 3]
-    chains: dict[tuple[int, int], int] = {}
-    seen_first_steps = set()
-    total_edges = 0
-    for start in branch:
-        for nxt in g.neighbors(start):
-            if (start, nxt) in seen_first_steps:
-                continue
-            prev, cur, length = start, nxt, 1
-            while g.degree(cur) == 2:
-                a, b = g.neighbors(cur)
-                prev, cur = cur, (b if a == prev else a)
-                length += 1
-            if cur == start:
-                return False  # chain loops back, not a subdivision
-            seen_first_steps.add((start, nxt))
-            seen_first_steps.add((cur, prev))
-            key = (min(start, cur), max(start, cur))
-            if key in chains:
-                return False  # parallel chains between the same branch pair
-            chains[key] = length
-            total_edges += length
-    if len(chains) != 6 or total_edges != g.m:
-        return False
-    return all(length % 2 == 1 for length in chains.values())
+    return is_connected(g) and find_tok4(g) is not None

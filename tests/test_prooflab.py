@@ -28,6 +28,7 @@ from alphacrit.prooflab import (
     Triangle,
     case1_rotation,
     case2_gadget,
+    check_eq1_consistency,
     check_lemma_deg2,
     check_theorem1,
     check_theorem2,
@@ -38,6 +39,7 @@ from alphacrit.prooflab import (
     triangles,
     witness_report,
 )
+from alphacrit.stability import EquationMismatchError, g_minus_c
 from alphacrit.subdivisions import PAIR_KEYS, CertificateError, Tok4Certificate, find_tok4, verify_tok4
 
 NET = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
@@ -366,3 +368,25 @@ def test_run_claim_corpus_level():
 
     with pytest.raises(ValueError):
         run_claim("bogus", [])
+
+
+def test_one_g_minus_c_per_vertex_per_sweep(critical_corpus):
+    # claim2, claim3 and eq1_consistency share one G_u per (g, u): the first
+    # sweep builds each, the other two read it from the cache
+    g_minus_c.cache_clear()
+    for cid in ("claim2", "claim3", "eq1_consistency"):
+        run_claim(cid, critical_corpus)
+    info = g_minus_c.cache_info()
+    assert info.misses == sum(g.n for g in critical_corpus if g.n >= 2) == 425
+    assert info.hits == 850
+
+
+def test_eq1_consistency_reports_mismatch(monkeypatch):
+    def mismatch(g, u):
+        raise EquationMismatchError("sides differ", [Edge(0, 3), Edge(1, 2)], [Edge(2, 3)])
+
+    monkeypatch.setattr("alphacrit.prooflab.g_minus_c", mismatch)
+    report = check_eq1_consistency(cycle_graph(5), 4)
+    assert report.verdict == "fail"
+    assert report.witness == {"vertex": 4, "only_deleted_side": [[0, 3], [1, 2]], "only_avoiding_side": [[2, 3]]}
+    assert [r.verdict for r in run_claim("eq1_consistency", [cycle_graph(5)])] == ["fail"] * 5

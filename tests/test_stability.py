@@ -4,6 +4,7 @@ import random
 import pytest
 
 from alphacrit.graphs import (
+    Edge,
     Graph,
     GraphError,
     SizeLimitError,
@@ -18,6 +19,7 @@ from alphacrit.graphs import (
 )
 from alphacrit.stability import (
     CriticalityError,
+    EquationMismatchError,
     StableSetCertificate,
     all_max_stable_sets,
     alpha,
@@ -272,3 +274,23 @@ def test_criticality_frozen_graphs8(graphs8):
     assert digest(f"{c}\n" for c in counts) == (
         "e3cc63d1aa602288274d2a29cfd62ea0c820f1d26eb23ca2ca4ca823aad8a408")
     assert sum(is_alpha_critical(g) for g in graphs8) == 40
+
+
+def test_g_minus_c_mismatch_names_both_sides(monkeypatch):
+    # C5 - 0 is the path 1-2-3-4, whose critical edges are 12 and 34; claim
+    # instead that the avoiding side of vertex 0 is {12, 23}
+    import alphacrit.stability as stability
+
+    g = cycle_graph(5)
+    facts = stability._deleted_vertex_facts(g)
+    wrong = (facts[0], (frozenset({Edge(1, 2), Edge(2, 3)}),) + facts[1][1:])
+    g_minus_c.cache_clear()
+    monkeypatch.setattr(stability, "_deleted_vertex_facts", lambda h: wrong)
+    with pytest.raises(EquationMismatchError) as info:
+        g_minus_c(g, 0)
+    assert str(info.value) == (
+        "critical edges of g-0 disagree with the avoiding-set characterization: "
+        "[Edge(u=1, v=2), Edge(u=3, v=4)] vs [Edge(u=1, v=2), Edge(u=2, v=3)]"
+    )
+    assert info.value.only_deleted_side == [Edge(3, 4)]
+    assert info.value.only_avoiding_side == [Edge(2, 3)]

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from alphacrit.graphs import (
@@ -10,6 +13,7 @@ from alphacrit.graphs import (
     path_graph,
 )
 from alphacrit.subdivisions import (
+    PAIR_SLOTS,
     CertificateError,
     Tok4Certificate,
     contains_tok4,
@@ -131,3 +135,31 @@ def test_is_tok4_graph_agrees_with_search(corpus7):
     # a totally odd subdivision adds an even number of vertices per edge, so
     # below 8 vertices only K4 itself and the one 6-vertex class exist
     assert hits == 2
+
+
+def subdivided_multigraph(pairs, lengths, rng: random.Random) -> Graph:
+    """Branch vertices 0..3 joined by one path per entry of pairs, of the
+    matching edge length, with seeded relabelled vertices."""
+    edges, n = [], 4
+    for (a, b), length in zip(pairs, lengths):
+        chain = [a] + list(range(n, n + length - 1)) + [b]
+        n += length - 1
+        edges += zip(chain, chain[1:])
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[x], perm[y]) for x, y in edges])
+
+
+def test_is_tok4_graph_known_answers(corpus7, graphs8, critical_corpus):
+    rng = random.Random(8)
+    for lengths in product((1, 2, 3), repeat=6):
+        g = subdivided_multigraph(PAIR_SLOTS, lengths, rng)
+        assert is_tok4_graph(g) == all(length % 2 for length in lengths), lengths
+    # four degree-3 vertices and the rest degree 2, but no TOK4 is all of g:
+    # K4 beside a triangle, and a 4-cycle with two doubled edges (the second
+    # copy of each subdivided into an odd path)
+    assert not is_tok4_graph(disjoint_union(complete_graph(4), cycle_graph(3)))
+    theta_pair = ((0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (1, 3))
+    assert not is_tok4_graph(subdivided_multigraph(theta_pair, (1, 3, 1, 3, 1, 1), rng))
+    counts = [sum(map(is_tok4_graph, corpus)) for corpus in (corpus7, graphs8, critical_corpus)]
+    assert counts == [2, 3, 5]
