@@ -7,7 +7,6 @@ everything below is reported doubled to stay in exact integers.
 from alphacrit.covers import (
     Tok4PresentError,
     cover_from_theorem,
-    enumerate_odd_cycles,
     rho_tilde,
     verify_cover,
 )
@@ -69,9 +68,3 @@ for g in connected_graphs_upto(6):
     assert doubled == 2 * alpha(g) == cover_from_theorem(g).doubled_cost
 print(f"equality on all {checked} connected TOK4-free graphs with <= 6 vertices;")
 print(f"{gaps} TOK4-containing graphs show a strict gap")
-print()
-
-print("== odd cycle inventories ==")
-for name, g in [("K4", complete_graph(4)), ("C9", cycle_graph(9))]:
-    cycles = enumerate_odd_cycles(g)
-    print(f"{name}: {len(cycles)} odd cycles, lengths {sorted(set(len(c) for c in cycles))}")

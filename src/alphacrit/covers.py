@@ -4,9 +4,10 @@ Costs: a vertex or an edge costs 1, an odd cycle C costs (|C| - 1)/2. All
 arithmetic uses doubled costs so everything stays integral. rho_tilde is an
 exact subset DP over the induced odd cycles only: a chorded odd cycle costs
 as much as a shorter odd cycle plus edges on the same vertices, so its
-families never contain a chorded cycle. cover_from_theorem reads the cover
-off a critical subgraph, which is the constructive content of the min-max
-equality for graphs with no totally odd K4-subdivision.
+families never contain a chorded cycle. _induced_odd_cycles, the package's
+one odd-cycle search, lists the chordless ones only. cover_from_theorem reads
+the cover off a critical subgraph, which is the constructive content of the
+min-max equality for graphs with no totally odd K4-subdivision.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .graphs import (
 from .stability import StableSetCertificate, alpha, critical_subgraph, peel_max_stable_set
 from .subdivisions import Tok4Certificate, find_tok4
 
-ODD_CYCLE_MAX_N = 10
 RHO_MAX_N = 9
 
 
@@ -108,36 +108,13 @@ def verify_cover(g: Graph, f: CoverFamily) -> int:
     return doubled
 
 
-def enumerate_odd_cycles(g: Graph) -> list[tuple[int, ...]]:
-    """All odd cycles, one orientation each: smallest vertex first, smaller
-    second entry than last entry. Sorted."""
-    if g.n > ODD_CYCLE_MAX_N:
-        raise SizeLimitError(f"odd-cycle enumeration capped at n={ODD_CYCLE_MAX_N}, got {g.n}")
-    out: list[tuple[int, ...]] = []
-    adj = g.adj
-    for s in range(g.n):
-        path = [s]
-        above = ~((1 << (s + 1)) - 1)  # only vertices > s may appear after s
-
-        def dfs(v: int, visited: int):
-            for w in iter_bits(adj[v] & above & ~visited):
-                path.append(w)
-                if len(path) >= 3 and len(path) % 2 == 1 and adj[w] >> s & 1 and path[1] < path[-1]:
-                    out.append(tuple(path))
-                dfs(w, visited | 1 << w)
-                path.pop()
-
-        dfs(s, 1 << s)
-    out.sort()
-    return out
-
-
 def _induced_odd_cycles(g: Graph) -> list[tuple[int, ...]]:
-    """The chordless odd cycles, in enumerate_odd_cycles' orientation and order.
+    """The chordless odd cycles, one orientation each: smallest vertex first,
+    smaller second entry than last entry. Sorted.
 
-    The same DFS, except that a path never grows to a vertex adjacent to one of
-    its interior vertices, and it closes (and stops) at the first vertex
-    adjacent to the start.
+    A DFS from each start s over vertices above s. A path never grows to a
+    vertex adjacent to one of its interior vertices, and it closes (and stops)
+    at the first vertex adjacent to the start.
     """
     out: list[tuple[int, ...]] = []
     adj = g.adj

@@ -60,9 +60,6 @@ class Edge:
         if self.u < 0:
             raise GraphError(f"negative vertex index in edge ({u},{v})")
 
-    def as_pair(self) -> tuple[int, int]:
-        return (self.u, self.v)
-
 
 def _as_edge(e) -> Edge:
     if isinstance(e, Edge):
@@ -83,13 +80,16 @@ class VertexSet:
 
     @classmethod
     def of(cls, vertices: Iterable[int]) -> "VertexSet":
+        vertices = tuple(vertices)
+        if vertices and min(vertices) < 0:
+            raise GraphError(f"negative vertex {min(vertices)} in vertex set")
         return cls(mask_of(vertices))
 
     def members(self) -> tuple[int, ...]:
         return tuple(iter_bits(self.bits))
 
     def __contains__(self, v: int) -> bool:
-        return bool(self.bits >> v & 1)
+        return v >= 0 and bool(self.bits >> v & 1)
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -151,9 +151,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((row.bit_count() for row in self.adj), default=0)
 
-    def min_degree(self) -> int:
-        return min((row.bit_count() for row in self.adj), default=0)
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
         return tuple(iter_bits(self.adj[v]))
@@ -207,30 +204,28 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
 
     Returns (graph, vmap) where vmap[new_index] = old_index in g.
     """
-    g._check_vertex(v)
-    vmap = tuple(u for u in range(g.n) if u != v)
-    low = (1 << v) - 1
-    rows = []
-    for u in vmap:
-        row = g.adj[u] & ~(1 << v)
-        rows.append((row & low) | (row >> (v + 1) << v))
-    return Graph(g.n - 1, tuple(rows)), vmap
+    return delete_vertices(g, (v,))
 
 
 def delete_vertices(g: Graph, vs: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Delete several vertices at once; vmap[new_index] = old_index."""
-    kill = mask_of(vs)
-    if kill & ~g.vertex_mask():
-        raise GraphError("vertex set to delete is outside the vertex range")
-    vmap = tuple(u for u in range(g.n) if not kill >> u & 1)
-    index = {old: new for new, old in enumerate(vmap)}
-    rows = []
-    for old in vmap:
-        row = 0
-        for w in iter_bits(g.adj[old] & ~kill):
-            row |= 1 << index[w]
-        rows.append(row)
-    return Graph(len(vmap), tuple(rows)), vmap
+    kill = 0
+    for v in vs:
+        g._check_vertex(v)
+        kill |= 1 << v
+    vmap = list(range(g.n))
+    rows = list(g.adj)
+    # each pass drops the highest run a..b-1 of consecutive deleted vertices:
+    # it clears bits a..b-1 of every row and shifts the bits from b down to a,
+    # so every label below a, and with it every lower run, stays where it was
+    while kill:
+        b = kill.bit_length()
+        a = (~kill & ((1 << b) - 1)).bit_length()
+        del vmap[a:b], rows[a:b]
+        low = (1 << a) - 1
+        rows = [(row & low) | (row >> b << a) for row in rows]
+        kill &= low
+    return Graph(len(rows), tuple(rows)), tuple(vmap)
 
 
 def delete_edge(g: Graph, e) -> Graph:
@@ -266,47 +261,39 @@ def contract_degree2(g: Graph, u: int) -> Graph:
     v, w = g.neighbors(u)
     if g.has_edge(v, w):
         raise GraphError(f"neighbors {v} and {w} of {u} are adjacent; contraction needs them non-adjacent")
-    merged_nbrs = (g.adj[v] | g.adj[w]) & ~mask_of((u, v, w))
-    keep = tuple(x for x in range(g.n) if x not in (u, w))
-    index = {old: new for new, old in enumerate(keep)}
-    rows = [0] * len(keep)
-    zi = index[v]
-    for x in iter_bits(merged_nbrs):
-        rows[zi] |= 1 << index[x]
-        rows[index[x]] |= 1 << zi
-    for old in keep:
-        if old == v:
-            continue
-        for y in iter_bits(g.adj[old] & ~mask_of((u, v, w))):
-            rows[index[old]] |= 1 << index[y]
-    return Graph(len(keep), tuple(rows))
+    rows = list(g.adj)
+    rows[v] |= g.adj[w]
+    for x in iter_bits(g.adj[w]):
+        rows[x] |= 1 << v
+    return delete_vertices(Graph(g.n, tuple(rows)), (u, w))[0]
 
 
-def _component_masks(g: Graph) -> Iterator[int]:
-    """Vertex masks of the connected components, in order of smallest member."""
-    left = g.vertex_mask()
-    while left:
-        comp = left & -left
+def _component_masks(adj: tuple[int, ...], mask: int) -> Iterator[int]:
+    """Vertex masks of the components of the subgraph that mask induces, in
+    order of smallest member."""
+    while mask:
+        comp = mask & -mask
         frontier = comp
         while frontier:
             grow = 0
             for v in iter_bits(frontier):
-                grow |= g.adj[v]
-            frontier = grow & left & ~comp
+                grow |= adj[v]
+            frontier = grow & mask & ~comp
             comp |= frontier
         yield comp
-        left &= ~comp
+        mask &= ~comp
 
 
 def components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
     """Connected components in order of smallest member, each with its map back to g."""
     full = g.vertex_mask()
-    return [delete_vertices(g, iter_bits(full & ~comp)) for comp in _component_masks(g)]
+    return [delete_vertices(g, iter_bits(full & ~comp)) for comp in _component_masks(g.adj, full)]
 
 
 def is_connected(g: Graph) -> bool:
     # the empty graph has no component and counts as connected
-    return next(_component_masks(g), 0) == g.vertex_mask()
+    full = g.vertex_mask()
+    return next(_component_masks(g.adj, full), 0) == full
 
 
 # graph6: header byte n+63 (n <= 62 here, and <= 32 by our vertex cap), then

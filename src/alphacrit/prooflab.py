@@ -174,7 +174,8 @@ def check_theorem1(g: Graph) -> ClaimReport:
     cert = find_tok4(g)
     if cert is None:
         return ClaimReport("theorem1", code, "fail", {"reason": "no totally odd K4-subdivision found"})
-    assert verify_tok4(g, cert)
+    if not verify_tok4(g, cert):
+        raise CertificateError(f"the TOK4 found in {code} does not verify")
     return ClaimReport("theorem1", code, "pass", {"tok4": cert.to_obj()})
 
 
@@ -199,8 +200,8 @@ def check_theorem2(g: Graph, t: Triangle) -> ClaimReport:
     for x in t.vertices():
         reduced, vmap = delete_vertex(g, x)
         cert = find_tok4(reduced)
-        if cert is not None:
-            assert verify_tok4(reduced, cert)
+        if cert is not None and not verify_tok4(reduced, cert):
+            raise CertificateError(f"the TOK4 found in {code} minus vertex {x} does not verify")
         deletions.append({
             "deleted": x,
             "map": list(vmap),
@@ -266,7 +267,8 @@ def check_claim_delta(g: Graph, u: int) -> ClaimReport:
     cert = find_tok4(reduced)
     if cert is None:
         return ClaimReport("claim2", code, "fail", {"vertex": u, "max_degree": delta})
-    assert verify_tok4(reduced, cert)
+    if not verify_tok4(reduced, cert):
+        raise CertificateError(f"the TOK4 found in {code} minus vertex {u} does not verify")
     return ClaimReport(
         "claim2", code, "pass",
         {"vertex": u, "max_degree": delta, "map": list(vmap), "tok4": cert.to_obj()},
@@ -488,7 +490,9 @@ def witness_report(corpus: Iterable[Graph], bound: int) -> ClaimReport:
         return ClaimReport("witness", "", "pass", {"found": False, "searched_bound": bound})
     g, t = found
     instance = check_theorem2(g, t).witness
-    assert sum(1 for d in instance["deletions"] if d["tok4"] is not None) == 2
+    hits = sum(1 for d in instance["deletions"] if d["tok4"] is not None)
+    if hits != 2:
+        raise CertificateError(f"witness {to_graph6(g)} has {hits} TOK4 deletions on recheck, expected 2")
     witness = {"found": True, "searched_bound": bound, **instance}
     return ClaimReport("witness", to_graph6(g), "pass", witness)
 

@@ -47,6 +47,7 @@ from .graphs import (
     GraphError,
     SizeLimitError,
     VertexSet,
+    _component_masks,
     delete_vertex,
     is_connected,
     iter_bits,
@@ -115,20 +116,10 @@ def _greedy_stable(adj: tuple[int, ...], avail: int) -> int:
 def _alpha_paths_cycles(adj: tuple[int, ...], avail: int) -> int:
     # every component here is a path, cycle, or isolated vertex
     total = 0
-    left = avail
-    while left:
-        comp = left & -left
-        frontier = comp
-        while frontier:
-            grow = 0
-            for v in iter_bits(frontier):
-                grow |= adj[v]
-            frontier = grow & left & ~comp
-            comp |= frontier
+    for comp in _component_masks(adj, avail):
         k = comp.bit_count()
         deg_sum = sum((adj[v] & comp).bit_count() for v in iter_bits(comp))
         total += k // 2 if deg_sum == 2 * k else (k + 1) // 2
-        left &= ~comp
     return total
 
 

@@ -45,9 +45,6 @@ class Tok4Certificate:
             if any(not isinstance(v, int) or v < 0 for v in path):
                 raise CertificateError(f"path {path} has a bad vertex entry")
 
-    def path_for(self, key: str) -> tuple[int, ...]:
-        return self.paths[PAIR_KEYS.index(key)]
-
     def to_obj(self) -> dict:
         return {
             "branch": list(self.branch),

@@ -1,6 +1,14 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from alphacrit.enumeration import connected_graphs_upto, packaged_corpus
+
+# pytest puts src/ on its own path (pyproject.toml); the tests that start
+# `python -m alphacrit.cli` or a demo in a subprocess need it there too
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

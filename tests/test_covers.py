@@ -10,7 +10,6 @@ from alphacrit.covers import (
     Tok4PresentError,
     _induced_odd_cycles,
     cover_from_theorem,
-    enumerate_odd_cycles,
     minmax_certificate,
     rho_tilde,
     verify_cover,
@@ -32,25 +31,16 @@ from oracles import brute_odd_cycles, brute_rho
 PETERSEN = parse_graph6("IsP@PGXD_")
 
 
-def test_enumerate_odd_cycles_frozen():
-    assert enumerate_odd_cycles(complete_graph(4)) == [
+def test_induced_odd_cycles_frozen():
+    assert _induced_odd_cycles(complete_graph(4)) == [
         (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
     ]
-    assert enumerate_odd_cycles(cycle_graph(6)) == []
-    assert enumerate_odd_cycles(cycle_graph(5)) == [(0, 1, 2, 3, 4)]
-    # 12 pentagons, and one vertex deletion leaves 2 nine-cycles each way
-    cycles = enumerate_odd_cycles(PETERSEN)
-    lengths = sorted(len(c) for c in cycles)
-    assert lengths == [5] * 12 + [9] * 20
-    with pytest.raises(SizeLimitError):
-        enumerate_odd_cycles(complete_graph(11))
-
-
-def test_enumerate_odd_cycles_matches_oracle(corpus6):
-    for g in corpus6:
-        if g.n > 6:
-            continue
-        assert enumerate_odd_cycles(g) == brute_odd_cycles(g)
+    assert _induced_odd_cycles(cycle_graph(6)) == []
+    assert _induced_odd_cycles(cycle_graph(5)) == [(0, 1, 2, 3, 4)]
+    # each of Petersen's 20 nine-cycles has 3 chords, so only the 12 pentagons remain
+    cycles = _induced_odd_cycles(PETERSEN)
+    assert [len(c) for c in cycles] == [5] * 12
+    assert len(set(map(frozenset, cycles))) == 12
 
 
 def _chordless(g, cyc):
@@ -60,7 +50,7 @@ def _chordless(g, cyc):
 
 def test_induced_odd_cycles_are_the_chordless_ones(corpus7, critical_corpus):
     for g in [*corpus7, *critical_corpus]:
-        assert _induced_odd_cycles(g) == [c for c in enumerate_odd_cycles(g) if _chordless(g, c)]
+        assert _induced_odd_cycles(g) == [c for c in brute_odd_cycles(g) if _chordless(g, c)]
 
 
 def test_verify_cover_violations():

@@ -89,6 +89,56 @@ def test_delete_vertex_maps_labels():
     assert g2.m == 1 and g2.has_edge(1, 2)
 
 
+def test_negative_vertex_is_a_graph_error():
+    with pytest.raises(GraphError, match="vertex -1"):
+        delete_vertices(cycle_graph(3), [-1])
+    with pytest.raises(GraphError, match="vertex -1"):
+        delete_vertex(cycle_graph(3), -1)
+    with pytest.raises(GraphError, match="vertex -1"):
+        VertexSet.of([2, -1])
+    assert -1 not in VertexSet(3)
+
+
+def _relabelled(g, keep, rename):
+    """g restricted to keep, each vertex x renamed rename.get(x, x), rebuilt
+    from an edge list; loops are impossible here and duplicates collapse."""
+    index = {old: new for new, old in enumerate(keep)}
+    edges = []
+    for e in g.edges():
+        a, b = rename.get(e.u, e.u), rename.get(e.v, e.v)
+        if a in index and b in index:
+            edges.append((index[a], index[b]))
+    return Graph.from_edges(len(keep), edges)
+
+
+def test_delete_vertices_matches_edge_list_rebuild(corpus7):
+    rng = random.Random(1207)
+    for g in corpus7:
+        for _ in range(4):
+            kill = [v for v in range(g.n) if rng.random() < 0.35]
+            keep = tuple(v for v in range(g.n) if v not in kill)
+            assert delete_vertices(g, rng.sample(kill, len(kill))) == (_relabelled(g, keep, {}), keep)
+        for v in range(g.n):
+            keep = tuple(x for x in range(g.n) if x != v)
+            assert delete_vertex(g, v) == (_relabelled(g, keep, {}), keep)
+
+
+def test_contract_degree2_matches_edge_list_rebuild(corpus7):
+    contracted = 0
+    for g in corpus7:
+        for u in range(g.n):
+            if g.degree(u) != 2:
+                continue
+            v, w = g.neighbors(u)
+            if g.has_edge(v, w):
+                continue
+            keep = tuple(x for x in range(g.n) if x not in (u, w))
+            # w folds into v; the edges uv and uw vanish with u
+            assert contract_degree2(g, u) == _relabelled(g, keep, {w: v})
+            contracted += 1
+    assert contracted == 756
+
+
 def test_edge_editing():
     c4 = cycle_graph(4)
     assert delete_edge(c4, (0, 1)).m == 3

@@ -4,6 +4,8 @@ Sweep counts over the small enumerations are frozen; a change in any of them
 means either the enumeration or a checker drifted.
 """
 
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -390,3 +392,36 @@ def test_eq1_consistency_reports_mismatch(monkeypatch):
     assert report.verdict == "fail"
     assert report.witness == {"vertex": 4, "only_deleted_side": [[0, 3], [1, 2]], "only_avoiding_side": [[2, 3]]}
     assert [r.verdict for r in run_claim("eq1_consistency", [cycle_graph(5)])] == ["fail"] * 5
+
+
+# find_tok4 answers a certificate that does not verify, then None for a witness
+# whose TOK4 deletions the search counted; every check must refuse, also with
+# asserts stripped
+_WRONG_ANSWERS = """
+from alphacrit import prooflab
+from alphacrit.graphs import complete_graph, parse_graph6
+from alphacrit.subdivisions import CertificateError, Tok4Certificate
+
+bogus = Tok4Certificate((0, 1, 2, 3), ((0, 1),) * 6)
+k5 = complete_graph(5)
+checks = [
+    (bogus, lambda: prooflab.check_theorem1(complete_graph(4))),
+    (bogus, lambda: prooflab.check_theorem2(k5, prooflab.Triangle(0, 1, 2))),
+    (bogus, lambda: prooflab.check_claim_delta(k5, 0)),
+    (None, lambda: prooflab.witness_report([parse_graph6("FJa^O")], 7)),
+]
+print(__debug__)
+for answer, check in checks:
+    prooflab.find_tok4 = lambda g, answer=answer: answer
+    try:
+        check()
+        print("accepted")
+    except CertificateError:
+        print("refused")
+"""
+
+
+def test_certificate_rechecks_survive_python_O():
+    r = subprocess.run([sys.executable, "-O", "-c", _WRONG_ANSWERS], capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0 and r.stderr == ""
+    assert r.stdout.split() == ["False"] + ["refused"] * 4
