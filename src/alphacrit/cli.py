@@ -9,7 +9,8 @@ Four subcommands:
 
 Output is JSON lines with a fixed key order, so identical invocations are
 byte-identical and golden files diff cleanly.  Exit codes: 0 success, 1 claim
-failure, 2 parse error, 64 usage.
+failure, 2 parse error, 64 usage, 70 internal error (a certificate the toolkit
+built failed its own re-verification).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .enumeration import ENUMERATE_MAX_N, connected_graphs_upto, enumerate_conne
 from .graphs import Graph, Graph6Error, SizeLimitError, parse_graph6, to_graph6
 from .prooflab import SWEEP_CLAIMS, find_strengthening_witness, run_claim
 from .stability import alpha, critical_edges, is_alpha_critical
-from .subdivisions import contains_tok4, find_tok4
+from .subdivisions import CertificateError, contains_tok4, find_tok4
 
 ANALYSES = ("alpha", "critical", "tok4", "cover")
 
@@ -211,6 +212,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _CliError as exc:
         print(exc, file=sys.stderr)
         return exc.code
+    except CertificateError as exc:
+        # a certificate the toolkit built does not verify: a bug, not a failed
+        # claim, so it gets EX_SOFTWARE from sysexits.h rather than 1
+        print(f"alphacrit: internal error: {exc}", file=sys.stderr)
+        return 70
     except BrokenPipeError:
         return 0
 

@@ -19,7 +19,8 @@ from .graphs import (
     Graph,
     GraphError,
     SizeLimitError,
-    components,
+    _component_masks,
+    delete_vertices,
     iter_bits,
     mask_of,
 )
@@ -141,6 +142,20 @@ def _induced_odd_cycles(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
+def _verified_family(g: Graph, parts: list[tuple[int, ...]], doubled: int) -> CoverFamily:
+    """The family whose parts of length 1, 2 and >= 3 are its vertices, edges
+    (sorted) and odd cycles (in order), checked by verify_cover."""
+    family = CoverFamily(
+        host=g,
+        vertices=tuple(p[0] for p in parts if len(p) == 1),
+        edges=tuple(sorted(Edge(*p) for p in parts if len(p) == 2)),
+        odd_cycles=tuple(p for p in parts if len(p) >= 3),
+        doubled_cost=doubled,
+    )
+    verify_cover(g, family)
+    return family
+
+
 def rho_tilde(g: Graph) -> tuple[int, CoverFamily]:
     """Exact minimum doubled cover cost with one optimal family, by subset DP.
 
@@ -150,127 +165,79 @@ def rho_tilde(g: Graph) -> tuple[int, CoverFamily]:
     cost (|C'| - 1) + |P| = |C| - 1, the cost of C. Repeating this ends at a
     chordless odd cycle, so every DP state keeps its optimum without chorded
     cycles, and the returned family contains induced odd cycles only.
+
+    ways[v] lists the moves that cover v, each as (doubled cost, part, part
+    mask): v alone, then each edge vu in neighbour order, then each induced odd
+    cycle through v in _induced_odd_cycles order. A state covers its lowest
+    vertex; the family is read back along the first way in that order that
+    attains the optimum, so ties go to the vertex, then edges, then cycles.
     """
     if g.n > RHO_MAX_N:
         raise SizeLimitError(f"cover DP capped at n={RHO_MAX_N}, got {g.n}")
-    cycles = _induced_odd_cycles(g)
-    cyc_masks = [mask_of(c) for c in cycles]
-    through: list[list[int]] = [[] for _ in range(g.n)]
-    for idx, c in enumerate(cycles):
+    ways = [[(2, (v,), 1 << v)] + [(2, (v, u), 1 << v | 1 << u) for u in iter_bits(row)]
+            for v, row in enumerate(g.adj)]
+    for c in _induced_odd_cycles(g):
+        way = (len(c) - 1, c, mask_of(c))
         for v in c:
-            through[v].append(idx)
+            ways[v].append(way)
     memo: dict[int, int] = {0: 0}
 
     def solve(left: int) -> int:
         got = memo.get(left)
         if got is not None:
             return got
-        v = (left & -left).bit_length() - 1
-        best = 2 + solve(left & ~(1 << v))
-        for u in iter_bits(g.adj[v]):
-            cand = 2 + solve(left & ~(1 << v | 1 << u))
-            if cand < best:
-                best = cand
-        for idx in through[v]:
-            cand = (len(cycles[idx]) - 1) + solve(left & ~cyc_masks[idx])
+        best = 2 * RHO_MAX_N + 1  # above every doubled cover cost
+        for cost, _, mask in ways[(left & -left).bit_length() - 1]:
+            cand = cost + solve(left & ~mask)
             if cand < best:
                 best = cand
         memo[left] = best
         return best
 
     total = solve(g.vertex_mask())
-
-    # deterministic reconstruction: prefer vertex, then edges, then cycles
-    verts: list[int] = []
-    edges: list[Edge] = []
-    cycs: list[tuple[int, ...]] = []
+    parts: list[tuple[int, ...]] = []
     left = g.vertex_mask()
     while left:
-        v = (left & -left).bit_length() - 1
         here = memo[left]
-        if memo[left & ~(1 << v)] + 2 == here:
-            verts.append(v)
-            left &= ~(1 << v)
-            continue
-        chosen = False
-        for u in iter_bits(g.adj[v]):
-            rest = left & ~(1 << v | 1 << u)
-            if memo[rest] + 2 == here:
-                edges.append(Edge(v, u))
-                left = rest
-                chosen = True
-                break
-        if chosen:
-            continue
-        for idx in through[v]:
-            rest = left & ~cyc_masks[idx]
-            if memo[rest] + (len(cycles[idx]) - 1) == here:
-                cycs.append(cycles[idx])
-                left = rest
-                chosen = True
-                break
-        if not chosen:  # pragma: no cover - would mean the DP table is corrupt
-            raise RuntimeError("cover reconstruction desynchronized from the DP table")
-    family = CoverFamily(
-        host=g,
-        vertices=tuple(verts),
-        edges=tuple(sorted(edges)),
-        odd_cycles=tuple(cycs),
-        doubled_cost=total,
-    )
-    verify_cover(g, family)
-    return total, family
-
-
-def _cycle_sequence(comp: Graph, vmap: tuple[int, ...]) -> tuple[int, ...]:
-    # comp is a connected 2-regular graph: walk it starting at the smallest
-    # original label, stepping first to its smaller-labeled neighbor
-    start = 0  # comp labels are ordered by original label, so 0 maps to the min
-    first = min(comp.neighbors(start), key=lambda x: vmap[x])
-    seq = [start, first]
-    while True:
-        a, b = comp.neighbors(seq[-1])
-        nxt = b if a == seq[-2] else a
-        if nxt == start:
-            break
-        seq.append(nxt)
-    return tuple(vmap[x] for x in seq)
+        part, left = next((part, left & ~mask) for cost, part, mask in ways[(left & -left).bit_length() - 1]
+                          if cost + memo[left & ~mask] == here)
+        parts.append(part)
+    return total, _verified_family(g, parts, total)
 
 
 def cover_from_theorem(g: Graph) -> CoverFamily:
     """Cover of cost alpha(g) read off the components of a critical subgraph.
 
     Only valid when g has no totally odd K4-subdivision; each component of the
-    critical subgraph is then a vertex, an edge, or an odd cycle.
+    critical subgraph is then a vertex, an edge, or an odd cycle. A cycle is
+    walked from its smallest vertex towards that vertex's smaller neighbour.
     """
     cert = find_tok4(g)
     if cert is not None:
         raise Tok4PresentError(cert)
     skeleton = critical_subgraph(g)
-    verts: list[int] = []
-    edges: list[Edge] = []
-    cycs: list[tuple[int, ...]] = []
-    for comp, vmap in components(skeleton):
-        if comp.n == 1:
-            verts.append(vmap[0])
-        elif comp.n == 2 and comp.m == 1:
-            edges.append(Edge(vmap[0], vmap[1]))
-        elif comp.n % 2 == 1 and comp.m == comp.n and all(comp.degree(v) == 2 for v in range(comp.n)):
-            cycs.append(_cycle_sequence(comp, vmap))
+    adj, full = skeleton.adj, skeleton.vertex_mask()
+    parts: list[tuple[int, ...]] = []
+    for comp in _component_masks(adj, full):
+        members = tuple(iter_bits(comp))
+        if len(members) <= 2:
+            parts.append(members)
+        elif len(members) % 2 and all(adj[v].bit_count() == 2 for v in members):
+            start = members[0]
+            cyc, prev, cur = [start], start, (adj[start] & -adj[start]).bit_length() - 1
+            while cur != start:
+                cyc.append(cur)
+                prev, cur = cur, (adj[cur] & ~(1 << prev)).bit_length() - 1
+            parts.append(tuple(cyc))
         else:
             raise TheoremViolationError(
-                f"critical-subgraph component on vertices {vmap} is not a vertex, edge, or odd cycle",
-                component=comp,
+                f"critical-subgraph component on vertices {members} is not a vertex, edge, or odd cycle",
+                component=delete_vertices(skeleton, iter_bits(full & ~comp))[0],
             )
-    doubled = 2 * len(verts) + 2 * len(edges) + sum(len(c) - 1 for c in cycs)
-    family = CoverFamily(
-        host=g,
-        vertices=tuple(verts),
-        edges=tuple(sorted(edges)),
-        odd_cycles=tuple(sorted(cycs)),
-        doubled_cost=doubled,
-    )
-    verify_cover(g, family)
+    # components come in order of smallest member and each cycle starts at
+    # its own, so the cycles are already sorted
+    doubled = sum(2 if len(p) <= 2 else len(p) - 1 for p in parts)
+    family = _verified_family(g, parts, doubled)
     if doubled != 2 * alpha(g):
         raise TheoremViolationError(
             f"theorem cover has doubled cost {doubled}, expected {2 * alpha(g)}",

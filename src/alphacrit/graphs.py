@@ -284,12 +284,6 @@ def _component_masks(adj: tuple[int, ...], mask: int) -> Iterator[int]:
         mask &= ~comp
 
 
-def components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
-    """Connected components in order of smallest member, each with its map back to g."""
-    full = g.vertex_mask()
-    return [delete_vertices(g, iter_bits(full & ~comp)) for comp in _component_masks(g.adj, full)]
-
-
 def is_connected(g: Graph) -> bool:
     # the empty graph has no component and counts as connected
     full = g.vertex_mask()

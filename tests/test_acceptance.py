@@ -6,6 +6,8 @@ counts in the details are exact and frozen; these sweeps are exhaustive over
 the stated corpora, not sampled.
 """
 
+import hashlib
+import json
 import subprocess
 import sys
 import time
@@ -68,11 +70,16 @@ def test_03_minmax_equality(capsys, corpus7, graphs8):
     conn8 = [g for g in graphs8 if is_connected(g)]
     free = [g for g in chain(corpus7, conn8) if not contains_tok4(g)]
     equal = 0
+    built_lines = []
     for g in free:
         built = cover_from_theorem(g)
         cost, optimal = rho_tilde(g)
         if 2 * alpha(g) == cost == built.doubled_cost == verify_cover(g, built) == verify_cover(g, optimal):
             equal += 1
+        built_lines.append(json.dumps(built.to_obj()) + "\n")
+    # the constructed families themselves are frozen, not just their costs
+    built_digest = hashlib.sha256("".join(built_lines).encode()).hexdigest()
+    frozen = built_digest == "149efc6a8b0b9662edd71315eea60ddcca8b9a1d4856db26633f09dd1cafcb56"
     # alpha <= rho holds for every graph on <= 8 vertices: every smaller graph
     # is an n=8 class minus isolated vertices, and removing an isolated vertex
     # lowers alpha and the cover cost by exactly one unit each, so sweeping the
@@ -80,9 +87,10 @@ def test_03_minmax_equality(capsys, corpus7, graphs8):
     bounded = sum(1 for g in graphs8 if 2 * alpha(g) <= rho_tilde(g)[0])
     k4_doubled = rho_tilde(complete_graph(4))[0]
     strict = k4_doubled == 4 and alpha(complete_graph(4)) == 1
-    ok = equal == len(free) == 3314 and bounded == len(graphs8) == 12346 and strict
+    ok = equal == len(free) == 3314 and frozen and bounded == len(graphs8) == 12346 and strict
     detail = (
         f"alpha = rho on {equal}/{len(free)} connected TOK4-free graphs <=8, "
+        f"theorem families {'frozen' if frozen else 'CHANGED'}, "
         f"alpha <= rho on all {bounded} classes at n=8, strict on K4 (1 < 2)"
     )
     _report(capsys, 3, "min-max equality", ok, detail)

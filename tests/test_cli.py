@@ -10,8 +10,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from alphacrit import cli
+from alphacrit import cli, prooflab
 from alphacrit.graphs import complete_graph, cycle_graph, to_graph6
+from alphacrit.subdivisions import Tok4Certificate
 
 CLI = [sys.executable, "-m", "alphacrit.cli"]
 
@@ -306,3 +307,16 @@ def test_verify_critical_corpus_stdout_frozen(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "63c6216aad65e1073eee860644e9edd1917a490bff3fc277d3405750a0ba012c"
     )
+
+
+def test_unverifiable_certificate_is_an_internal_error(monkeypatch, capsys):
+    # a TOK4 whose paths do not join its branch vertices: the claim check's
+    # re-verification raises CertificateError, which is a bug in the toolkit,
+    # not a failed claim, so it must not end in a traceback or in exit 1
+    bad = Tok4Certificate((0, 1, 2, 3), ((0, 1),) * 6)
+    monkeypatch.setattr(prooflab, "find_tok4", lambda g: bad)
+    rc = cli.main(["verify", "theorem1", "--enumerate", "4"])
+    err = capsys.readouterr().err
+    assert rc == 70
+    assert err.count("\n") == 1 and err.startswith("alphacrit: internal error: ")
+    assert "Traceback" not in err

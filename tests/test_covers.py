@@ -1,8 +1,10 @@
 import hashlib
+import json
 from collections import Counter
 
 import pytest
 
+from alphacrit import covers
 from alphacrit.covers import (
     CoverError,
     CoverFamily,
@@ -17,6 +19,7 @@ from alphacrit.covers import (
 from alphacrit.graphs import (
     Edge,
     SizeLimitError,
+    add_edge,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -29,6 +32,7 @@ from alphacrit.subdivisions import contains_tok4, verify_tok4
 from oracles import brute_odd_cycles, brute_rho
 
 PETERSEN = parse_graph6("IsP@PGXD_")
+CHORDED_C5 = add_edge(cycle_graph(5), (0, 2))
 
 
 def test_induced_odd_cycles_frozen():
@@ -97,11 +101,17 @@ def test_rho_tilde_families_use_induced_cycles(corpus6):
 
 
 def test_rho_tilde_frozen_graphs8(graphs8):
-    values = [rho_tilde(g)[0] for g in graphs8]
+    results = [rho_tilde(g) for g in graphs8]
+    values = [d for d, _ in results]
     assert sum(values) == 89302
     assert Counter(values) == {6: 5783, 8: 5611, 10: 863, 12: 81, 14: 7, 16: 1}
     digest = hashlib.sha256("".join(f"{d}\n" for d in values).encode()).hexdigest()
     assert digest == "5f1c77e3288c6e0ee38c9ef18cc65fda9fba841c9b83e2e8c8ce06de025c5c6b"
+    # the families too: which optimal cover the DP's tie-break picks is output
+    families = "".join(json.dumps(f.to_obj()) + "\n" for _, f in results)
+    assert hashlib.sha256(families.encode()).hexdigest() == (
+        "a94e55fef9981ba1212fbe47478475a1436e0e2c4e9463a3c8465187737c8a6c"
+    )
 
 
 def test_rho_tilde_frozen_values():
@@ -164,6 +174,24 @@ def test_cover_from_theorem_on_unions():
     g = disjoint_union(cycle_graph(5), path_graph(4))
     family = cover_from_theorem(g)
     assert verify_cover(g, family) == 2 * alpha(g)
+
+
+@pytest.mark.parametrize("skeleton, members, component", [
+    # an edge, then a path on three vertices
+    (disjoint_union(path_graph(2), path_graph(3)), (2, 3, 4), path_graph(3)),
+    # a vertex, then an even cycle
+    (disjoint_union(path_graph(1), cycle_graph(4)), (1, 2, 3, 4), cycle_graph(4)),
+    # a five-cycle with a chord: odd, but two vertices have degree 3
+    (CHORDED_C5, (0, 1, 2, 3, 4), CHORDED_C5),
+])
+def test_cover_from_theorem_rejects_other_components(monkeypatch, skeleton, members, component):
+    monkeypatch.setattr(covers, "critical_subgraph", lambda g: skeleton)
+    with pytest.raises(TheoremViolationError) as info:
+        cover_from_theorem(path_graph(skeleton.n))
+    assert str(info.value) == (
+        f"critical-subgraph component on vertices {members} is not a vertex, edge, or odd cycle"
+    )
+    assert info.value.component == component
 
 
 def test_minmax_certificate():

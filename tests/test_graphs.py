@@ -9,9 +9,9 @@ from alphacrit.graphs import (
     GraphError,
     SizeLimitError,
     VertexSet,
+    _component_masks,
     add_edge,
     complete_graph,
-    components,
     contract_degree2,
     cube_graph,
     cycle_graph,
@@ -73,8 +73,8 @@ def test_disjoint_union():
     g = disjoint_union(complete_graph(3), path_graph(2))
     assert g.n == 5 and g.m == 4
     assert g.has_edge(3, 4) and not g.has_edge(2, 3)
-    comps = components(g)
-    assert [c.n for c, _ in comps] == [3, 2]
+    # in order of smallest member: the triangle, then the edge
+    assert list(_component_masks(g.adj, g.vertex_mask())) == [0b00111, 0b11000]
     assert not is_connected(g) and is_connected(complete_graph(3))
 
 

@@ -23,6 +23,7 @@ INVOCATIONS = (
     ("verify", "--enumerate", "7"),
     ("verify", "--file", "src/alphacrit/data/alpha_critical_upto9.g6"),
     ("analyze", "--file", "src/alphacrit/data/graphs8.g6"),
+    ("analyze", "--file", "src/alphacrit/data/alpha_critical_upto9.g6"),
     ("witness", "--enumerate", "7"),
     ("enumerate", "8", "--alpha-critical"),
 )
