@@ -17,8 +17,6 @@ Checked statements, in the vocabulary of this package:
   claim3          edges at distance one from u stay critical after deleting u
   eq1_consistency the two constructions of the deleted-vertex critical graph
                   coincide
-  case1/case2     the edge-rotation and triangle-gadget constructions with
-                  their alpha bookkeeping
   cube            the five cube properties isolate Q3 in the corpus
   witness         search for a triangle where exactly two deletions contain a
                   TOK4 (the non-strengthenability witness)
@@ -29,8 +27,12 @@ eq. (1) there; eq1_consistency reports that comparison.
 
 run_claim dispatches each sweep claim through one table, _SWEEPS: its
 applicability reason, its unit (graph, vertex, triangle or corpus) and its
-checker. Every per-graph reason, in a sweep and in a direct check_* call
-alike, starts from one cached fact per graph, _standing.
+checker. Its keys, SWEEP_CLAIMS, are the only ids a ClaimReport accepts. Every
+per-graph reason, in a sweep and in a direct check_* call alike, starts from
+one cached fact per graph, _standing.
+
+case2_gadget builds the triangle-to-edge gadget of the proof's case 2, and
+lift_tok4_through_gadget pulls a TOK4 of the gadget back into g - x2.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .graphs import (
     add_edge,
     contract_degree2,
     cube_graph,
-    delete_edge,
     delete_vertex,
     delete_vertices,
     is_connected,
@@ -68,18 +69,6 @@ from .stability import (  # noqa: F401
 )
 from .subdivisions import CertificateError, Tok4Certificate, contains_tok4, find_tok4, is_tok4_graph, verify_tok4
 
-CLAIM_IDS = (
-    "theorem1",
-    "theorem2",
-    "lemma1",
-    "claim2",
-    "claim3",
-    "eq1_consistency",
-    "case1",
-    "case2",
-    "cube",
-    "witness",
-)
 VERDICTS = ("pass", "fail", "inapplicable")
 
 
@@ -93,7 +82,7 @@ class ClaimReport:
     witness: dict | None = None
 
     def __post_init__(self):
-        if self.claim_id not in CLAIM_IDS:
+        if self.claim_id not in SWEEP_CLAIMS:
             raise ValueError(f"unknown claim id {self.claim_id!r}")
         if self.verdict not in VERDICTS:
             raise ValueError(f"unknown verdict {self.verdict!r}")
@@ -255,6 +244,7 @@ def _deletion_reason(g: Graph) -> str | None:
 
 
 def check_claim_delta(g: Graph, u: int) -> ClaimReport:
+    g._check_vertex(u)
     code = to_graph6(g)
     reason = _deletion_reason(g)
     if reason is not None:
@@ -276,6 +266,7 @@ def check_claim_delta(g: Graph, u: int) -> ClaimReport:
 
 
 def check_claim_uvw(g: Graph, u: int) -> ClaimReport:
+    g._check_vertex(u)
     code = to_graph6(g)
     reason = _deletion_reason(g)
     if reason is not None:
@@ -296,6 +287,7 @@ def check_claim_uvw(g: Graph, u: int) -> ClaimReport:
 
 
 def check_eq1_consistency(g: Graph, u: int) -> ClaimReport:
+    g._check_vertex(u)
     code = to_graph6(g)
     reason = _deletion_reason(g)
     if reason is not None:
@@ -314,33 +306,6 @@ def check_eq1_consistency(g: Graph, u: int) -> ClaimReport:
     return ClaimReport("eq1_consistency", code, "pass", {"vertex": u, "edge_count": reduced_crit.m})
 
 
-def case1_rotation(g: Graph, u: int, u2: int, v: int, w: int | None = None) -> tuple[Graph, ClaimReport]:
-    """Rotate the edge uu2 to the non-edge uv; report what happened to alpha.
-
-    With w supplied, also reports whether u,v,w form a triangle afterwards
-    (the configuration the rotation is used to produce).
-    """
-    for x in (u, u2, v):
-        g._check_vertex(x)
-    if not g.has_edge(u, u2):
-        raise GraphError(f"({u},{u2}) must be an edge of the graph")
-    if u == v or g.has_edge(u, v):
-        raise GraphError(f"({u},{v}) must be a non-edge of the graph")
-    rotated = add_edge(delete_edge(g, (u, u2)), (u, v))
-    before, after = alpha(g), alpha(rotated)
-    triangle = None
-    if w is not None:
-        g._check_vertex(w)
-        triangle = rotated.has_edge(u, w) and rotated.has_edge(w, v)
-    witness = {
-        "u": u, "u2": u2, "v": v, "w": w,
-        "alpha_before": before, "alpha_after": after,
-        "uvw_triangle": triangle,
-    }
-    verdict = "pass" if after == before else "fail"
-    return rotated, ClaimReport("case1", to_graph6(g), verdict, witness)
-
-
 @dataclass(frozen=True)
 class GadgetInfo:
     """Everything needed to lift certificates back out of a triangle gadget."""
@@ -353,10 +318,9 @@ class GadgetInfo:
     added: Edge                   # the new edge, in gadget labels
 
 
-def case2_gadget(g: Graph, t: Triangle) -> tuple[GadgetInfo, ClaimReport]:
-    """Delete a triangle of degree-3 vertices, join the outer neighbors of its
-    first and third vertices; report the alpha drop (the construction is
-    engineered to lose exactly one unit)."""
+def case2_gadget(g: Graph, t: Triangle) -> GadgetInfo:
+    """Delete a triangle of degree-3 vertices and join the outer neighbors of
+    its first and third vertices."""
     xs = t.vertices()
     for a, b in combinations(xs, 2):
         if not g.has_edge(a, b):
@@ -376,16 +340,7 @@ def case2_gadget(g: Graph, t: Triangle) -> tuple[GadgetInfo, ClaimReport]:
     index = {old: new for new, old in enumerate(vmap)}
     added = Edge(index[u_out], index[w_out])
     gadget = add_edge(stripped, added)
-    before, after = alpha(g), alpha(gadget)
-    info = GadgetInfo(host=g, triangle=t, graph=gadget, vmap=vmap, outside=tuple(outside), added=added)
-    witness = {
-        "triangle": list(xs),
-        "outside": list(outside),
-        "alpha_before": before,
-        "alpha_after": after,
-    }
-    verdict = "pass" if before - after == 1 else "fail"
-    return info, ClaimReport("case2", to_graph6(g), verdict, witness)
+    return GadgetInfo(host=g, triangle=t, graph=gadget, vmap=vmap, outside=tuple(outside), added=added)
 
 
 def lift_tok4_through_gadget(k: Tok4Certificate, info: GadgetInfo) -> Tok4Certificate:
@@ -527,7 +482,6 @@ _SWEEPS = {
     "cube": (None, "corpus", _cube_sweep),
     "witness": (None, "corpus", witness_report),
 }
-# case1/case2 build graphs rather than sweep them, so they have no row.
 SWEEP_CLAIMS = tuple(_SWEEPS)
 
 

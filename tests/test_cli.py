@@ -4,17 +4,21 @@ Every expected stdout line is frozen byte-for-byte: the tool promises stable
 output for identical input, and these tests are that promise.
 """
 
+import ast
 import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from alphacrit import cli, prooflab
 from alphacrit.graphs import complete_graph, cycle_graph, to_graph6
 from alphacrit.subdivisions import Tok4Certificate
 
 CLI = [sys.executable, "-m", "alphacrit.cli"]
+DATA = Path(cli.__file__).parent / "data"
 
 
 def run_cli(*args, stdin=""):
@@ -224,6 +228,20 @@ def test_import_and_enumerate_do_not_load_numpy():
     assert r.stdout.splitlines()[-1] == "False"
 
 
+def test_package_exports_every_imported_name():
+    # __all__ lists exactly the names the package's __init__ imports
+    import alphacrit
+
+    tree = ast.parse(Path(alphacrit.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert len(alphacrit.__all__) == len(set(alphacrit.__all__))
+    assert set(alphacrit.__all__) == imported
+
+
 def test_no_command_is_usage_error():
     r = run_cli()
     assert r.returncode == 64
@@ -307,6 +325,21 @@ def test_verify_critical_corpus_stdout_frozen(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "63c6216aad65e1073eee860644e9edd1917a490bff3fc277d3405750a0ba012c"
     )
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["witness", "--enumerate", "7"], "8db8c3f9e68153c977a32e5bb83222c7ed818ed0c4ce5339a259120d1e0fd288"),
+    (["analyze", "--file", str(DATA / "alpha_critical_upto9.g6")],
+     "bc456c37b07117320635c2233836f3e43ca166e9ac3947fd15f9b0e59177a51e"),
+    (["enumerate", "8", "--alpha-critical"], "e7aa2d2322013f3cf4c766e6f700bb6ae8e1fded88dfeead37d4d8d0e721430a"),
+], ids=["witness-7", "analyze-critical", "enumerate-8-critical"])
+def test_cli_stdout_frozen(argv, digest, capsys):
+    # the witness search to n=7, the full analysis at the cover DP's n=9 cap
+    # and the critical classes on 8 vertices, each hashed whole
+    rc = cli.main(argv)
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_unverifiable_certificate_is_an_internal_error(monkeypatch, capsys):

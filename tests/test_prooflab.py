@@ -24,12 +24,12 @@ from alphacrit.graphs import (
     to_graph6,
 )
 from alphacrit.prooflab import (
-    CLAIM_IDS,
     SWEEP_CLAIMS,
     ClaimReport,
     Triangle,
-    case1_rotation,
     case2_gadget,
+    check_claim_delta,
+    check_claim_uvw,
     check_eq1_consistency,
     check_lemma_deg2,
     check_theorem1,
@@ -41,7 +41,7 @@ from alphacrit.prooflab import (
     triangles,
     witness_report,
 )
-from alphacrit.stability import EquationMismatchError, g_minus_c
+from alphacrit.stability import EquationMismatchError, alpha, g_minus_c
 from alphacrit.subdivisions import PAIR_KEYS, CertificateError, Tok4Certificate, find_tok4, verify_tok4
 
 NET = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
@@ -71,7 +71,10 @@ def test_sweep_claims_exclude_constructions():
         "theorem1", "theorem2", "lemma1", "claim2", "claim3",
         "eq1_consistency", "cube", "witness",
     )
-    assert set(CLAIM_IDS) - set(SWEEP_CLAIMS) == {"case1", "case2"}
+    # the surgeries are constructions, not claims: no report may carry their ids
+    for cid in ("case1", "case2"):
+        with pytest.raises(ValueError, match="unknown claim id"):
+            ClaimReport(cid, "C~", "pass")
 
 
 def test_triangle_normalization():
@@ -138,48 +141,12 @@ def test_check_lemma_deg2():
     assert check_lemma_deg2(cycle_graph(3)).witness["reason"] == "fewer than 4 vertices"
 
 
-def test_case1_rotation_frozen():
-    c5 = cycle_graph(5)
-    rotated, rep = case1_rotation(c5, 0, 4, 2, w=1)
-    assert rep.verdict == "pass"
-    assert rep.witness == {
-        "u": 0, "u2": 4, "v": 2, "w": 1,
-        "alpha_before": 2, "alpha_after": 2, "uvw_triangle": True,
-    }
-    assert [(e.u, e.v) for e in rotated.edges()] == [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]
-
-    # rotating the other edge at 0 strands vertex 1 and alpha grows
-    _, rep = case1_rotation(c5, 0, 1, 2, w=1)
-    assert rep.verdict == "fail"
-    assert (rep.witness["alpha_before"], rep.witness["alpha_after"]) == (2, 3)
-    assert rep.witness["uvw_triangle"] is False
-
-    _, rep = case1_rotation(c5, 0, 4, 2)
-    assert rep.witness["w"] is None and rep.witness["uvw_triangle"] is None
-
-
-def test_case1_rotation_preconditions():
-    c5 = cycle_graph(5)
-    with pytest.raises(GraphError):
-        case1_rotation(c5, 0, 2, 3)  # (0,2) is not an edge
-    with pytest.raises(GraphError):
-        case1_rotation(c5, 0, 1, 4)  # (0,4) already an edge
-    with pytest.raises(GraphError):
-        case1_rotation(c5, 0, 1, 0)
-    with pytest.raises(GraphError):
-        case1_rotation(c5, 0, 1, 9)
-
-
 def test_case2_gadget_net_frozen():
-    info, rep = case2_gadget(NET, Triangle(0, 1, 2))
-    assert rep.verdict == "pass"
-    assert rep.witness == {
-        "triangle": [0, 1, 2],
-        "outside": [3, 4, 5],
-        "alpha_before": 3,
-        "alpha_after": 2,
-    }
+    info = case2_gadget(NET, Triangle(0, 1, 2))
+    assert info.host is NET and info.triangle == Triangle(0, 1, 2)
+    assert info.outside == (3, 4, 5)
     assert to_graph6(info.graph) == "BO"  # three vertices, one edge
+    assert (alpha(NET), alpha(info.graph)) == (3, 2)
     assert info.vmap == (3, 4, 5)
     assert info.added == Edge(0, 2)
 
@@ -203,15 +170,40 @@ LIFT_HOST = Graph.from_edges(
 )
 
 
-def test_case2_gadget_reports_larger_drops_honestly():
+def test_case2_gadget_larger_alpha_drop():
     # structural preconditions hold here but alpha drops by two
-    _, rep = case2_gadget(LIFT_HOST, Triangle(0, 1, 2))
-    assert rep.verdict == "fail"
-    assert (rep.witness["alpha_before"], rep.witness["alpha_after"]) == (3, 1)
+    info = case2_gadget(LIFT_HOST, Triangle(0, 1, 2))
+    assert (alpha(LIFT_HOST), alpha(info.graph)) == (3, 1)
+
+
+def test_case2_gadget_on_critical_corpus(critical_corpus):
+    # every (graph, triangle) pair of the packaged corpus that meets the
+    # structural preconditions: alpha drops by exactly one, and each TOK4 of
+    # a gadget lifts to a certificate that verifies in g - x2
+    gadgets = []
+    for g in critical_corpus:
+        for t in triangles(g):
+            try:
+                gadgets.append(case2_gadget(g, t))
+            except GraphError:
+                continue
+    assert [(to_graph6(info.host), info.triangle.vertices()) for info in gadgets] == [
+        ("G@LKf?", (2, 3, 4)), ("H@LA[Jo", (1, 5, 6)), ("H@LA[j_", (1, 5, 6)), ("H@LA[j_", (2, 3, 4)),
+    ]
+    assert all(alpha(info.host) - alpha(info.graph) == 1 for info in gadgets)
+    lifted = 0
+    for info in gadgets:
+        cert = find_tok4(info.graph)
+        if cert is None:
+            continue
+        target, _ = delete_vertex(info.host, info.triangle.x2)
+        assert verify_tok4(target, lift_tok4_through_gadget(cert, info))
+        lifted += 1
+    assert lifted == 3
 
 
 def test_lift_endpoint_splice():
-    info, _ = case2_gadget(LIFT_HOST, Triangle(0, 1, 2))
+    info = case2_gadget(LIFT_HOST, Triangle(0, 1, 2))
     cert = find_tok4(info.graph)
     assert cert.to_obj()["paths"]["ac"] == [0, 2]  # rides the artificial edge
     lifted = lift_tok4_through_gadget(cert, info)
@@ -236,7 +228,7 @@ def test_lift_identity_when_added_edge_unused():
     edges = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)]
     edges += [(6, 7), (6, 8), (6, 9), (7, 8), (7, 9), (8, 9), (3, 6)]
     host = Graph.from_edges(10, edges)
-    info, _ = case2_gadget(host, Triangle(0, 1, 2))
+    info = case2_gadget(host, Triangle(0, 1, 2))
     cert = find_tok4(info.graph)
     added_pair = {info.vmap[info.added.u], info.vmap[info.added.v]}
     assert not any(
@@ -254,7 +246,7 @@ def test_lift_interior_splice():
     edges = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)]
     edges += [(6, 3), (5, 7), (6, 8), (6, 9), (7, 8), (7, 9), (8, 9)]
     host = Graph.from_edges(10, edges)
-    info, _ = case2_gadget(host, Triangle(0, 1, 2))
+    info = case2_gadget(host, Triangle(0, 1, 2))
     cert = Tok4Certificate(
         branch=(3, 4, 5, 6),
         paths=((3, 0, 2, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)),
@@ -268,7 +260,7 @@ def test_lift_interior_splice():
 
 
 def test_lift_rejects_unverified_certificate():
-    info, _ = case2_gadget(LIFT_HOST, Triangle(0, 1, 2))
+    info = case2_gadget(LIFT_HOST, Triangle(0, 1, 2))
     # shape-valid, but the ab path does not start at branch a
     bad = Tok4Certificate(
         branch=(0, 1, 2, 3),
@@ -277,7 +269,7 @@ def test_lift_rejects_unverified_certificate():
     with pytest.raises(CertificateError, match="does not verify in the gadget"):
         lift_tok4_through_gadget(bad, info)
     # out-of-range vertices surface as the verifier's own complaint
-    info, _ = case2_gadget(NET, Triangle(0, 1, 2))
+    info = case2_gadget(NET, Triangle(0, 1, 2))
     oob = Tok4Certificate(
         branch=(0, 1, 2, 3),
         paths=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
@@ -381,6 +373,15 @@ def test_one_g_minus_c_per_vertex_per_sweep(critical_corpus):
     info = g_minus_c.cache_info()
     assert info.misses == sum(g.n for g in critical_corpus if g.n >= 2) == 425
     assert info.hits == 850
+
+
+def test_deleted_vertex_checks_reject_out_of_range_vertex():
+    # the range check comes before applicability: C4 is not alpha-critical,
+    # and K0 has no vertex at all, so every u is out of range there
+    for check in (check_claim_delta, check_claim_uvw, check_eq1_consistency):
+        for g, u in ((cycle_graph(4), 99), (cycle_graph(5), -1), (cycle_graph(5), 5), (Graph.from_edges(0, []), 0)):
+            with pytest.raises(GraphError, match="outside range"):
+                check(g, u)
 
 
 def test_eq1_consistency_reports_mismatch(monkeypatch):
