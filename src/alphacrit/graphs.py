@@ -348,7 +348,7 @@ def to_graph6(g: Graph) -> str:
 
 
 def read_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
-    """Parse an iterable of graph6 lines, skipping blank ones."""
+    """Parse graph6 lines, stripping surrounding whitespace and skipping blank lines."""
     for line in lines:
-        if line.strip():
-            yield parse_graph6(line)
+        if text := line.strip():
+            yield parse_graph6(text)

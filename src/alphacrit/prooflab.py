@@ -18,8 +18,11 @@ Checked statements, in the vocabulary of this package:
   eq1_consistency the two constructions of the deleted-vertex critical graph
                   coincide
   cube            the five cube properties isolate Q3 in the corpus
-  witness         search for a triangle where exactly two deletions contain a
-                  TOK4 (the non-strengthenability witness)
+  witness         the first theorem-2 report with exactly two TOK4 deletions
+                  (the non-strengthenability witness)
+
+theorem1, theorem2, claim2 and the witness take every TOK4 from one verified
+find-and-check step, which raises CertificateError when verify_tok4 refuses one.
 
 claim2, claim3 and eq1_consistency read the deleted-vertex critical graph G_u
 from stability.g_minus_c, which builds it once per (g, u) and compares it with
@@ -58,7 +61,7 @@ from .graphs import (
     mask_of,
     to_graph6,
 )
-# critical_edges and critical_edges_avoiding stay globals: perfbench's tracer patches them
+# critical_edges, critical_edges_avoiding and contains_tok4 stay globals: perfbench's tracer patches them
 from .stability import (  # noqa: F401
     EquationMismatchError,
     alpha,
@@ -67,7 +70,8 @@ from .stability import (  # noqa: F401
     g_minus_c,
     is_alpha_critical,
 )
-from .subdivisions import CertificateError, Tok4Certificate, contains_tok4, find_tok4, is_tok4_graph, verify_tok4
+from .subdivisions import CertificateError, Tok4Certificate, find_tok4, is_tok4_graph, verify_tok4
+from .subdivisions import contains_tok4  # noqa: F401
 
 VERDICTS = ("pass", "fail", "inapplicable")
 
@@ -155,16 +159,29 @@ def _theorem1_reason(g: Graph) -> str | None:
     return None
 
 
+def _verified_tok4(g: Graph, where: str) -> Tok4Certificate | None:
+    """find_tok4 on g, refusing a certificate that verify_tok4 rejects; where names g."""
+    cert = find_tok4(g)
+    if cert is not None and not verify_tok4(g, cert):
+        raise CertificateError(f"the TOK4 found in {where} does not verify")
+    return cert
+
+
+def _deletion(g: Graph, code: str, x: int) -> dict:
+    """The verified TOK4 of g - x, or None, with the map back to g's labels."""
+    reduced, vmap = delete_vertex(g, x)
+    cert = _verified_tok4(reduced, f"{code} minus vertex {x}")
+    return {"map": list(vmap), "tok4": cert.to_obj() if cert else None}
+
+
 def check_theorem1(g: Graph) -> ClaimReport:
     code = to_graph6(g)
     reason = _theorem1_reason(g)
     if reason is not None:
         return ClaimReport("theorem1", code, "inapplicable", {"reason": reason})
-    cert = find_tok4(g)
+    cert = _verified_tok4(g, code)
     if cert is None:
         return ClaimReport("theorem1", code, "fail", {"reason": "no totally odd K4-subdivision found"})
-    if not verify_tok4(g, cert):
-        raise CertificateError(f"the TOK4 found in {code} does not verify")
     return ClaimReport("theorem1", code, "pass", {"tok4": cert.to_obj()})
 
 
@@ -185,17 +202,7 @@ def check_theorem2(g: Graph, t: Triangle) -> ClaimReport:
     reason = _theorem2_reason(g)
     if reason is not None:
         return ClaimReport("theorem2", code, "inapplicable", {"reason": reason, "triangle": list(t.vertices())})
-    deletions = []
-    for x in t.vertices():
-        reduced, vmap = delete_vertex(g, x)
-        cert = find_tok4(reduced)
-        if cert is not None and not verify_tok4(reduced, cert):
-            raise CertificateError(f"the TOK4 found in {code} minus vertex {x} does not verify")
-        deletions.append({
-            "deleted": x,
-            "map": list(vmap),
-            "tok4": cert.to_obj() if cert else None,
-        })
+    deletions = [{"deleted": x, **_deletion(g, code, x)} for x in t.vertices()]
     hits = sum(d["tok4"] is not None for d in deletions)
     witness = {"triangle": list(t.vertices()), "deletions": deletions}
     return ClaimReport("theorem2", code, "pass" if hits >= 2 else "fail", witness)
@@ -249,20 +256,13 @@ def check_claim_delta(g: Graph, u: int) -> ClaimReport:
     reason = _deletion_reason(g)
     if reason is not None:
         return ClaimReport("claim2", code, "inapplicable", {"vertex": u, "reason": reason})
-    reduced_crit = g_minus_c(g, u)
-    delta = reduced_crit.max_degree()
+    delta = g_minus_c(g, u).max_degree()
     if delta <= 2:
         return ClaimReport("claim2", code, "inapplicable", {"vertex": u, "max_degree": delta})
-    reduced, vmap = delete_vertex(g, u)
-    cert = find_tok4(reduced)
-    if cert is None:
+    found = _deletion(g, code, u)
+    if found["tok4"] is None:
         return ClaimReport("claim2", code, "fail", {"vertex": u, "max_degree": delta})
-    if not verify_tok4(reduced, cert):
-        raise CertificateError(f"the TOK4 found in {code} minus vertex {u} does not verify")
-    return ClaimReport(
-        "claim2", code, "pass",
-        {"vertex": u, "max_degree": delta, "map": list(vmap), "tok4": cert.to_obj()},
-    )
+    return ClaimReport("claim2", code, "pass", {"vertex": u, "max_degree": delta, **found})
 
 
 def check_claim_uvw(g: Graph, u: int) -> ClaimReport:
@@ -422,19 +422,13 @@ def cube_uniqueness_check(max_n: int, corpus: Iterable[Graph] | None = None) -> 
 
 
 def find_strengthening_witness(corpus: Iterable[Graph]):
-    """First (graph, triangle) where exactly two of the three deletions contain
-    a TOK4; None if the corpus has no such pair."""
+    """First (graph, triangle) whose theorem-2 report has exactly two TOK4 deletions, or None."""
     for g in corpus:
-        if _theorem2_reason(g) is not None:
-            continue
-        for t in triangles(g):
-            count = 0
-            for x in t.vertices():
-                reduced, _ = delete_vertex(g, x)
-                if contains_tok4(reduced):
-                    count += 1
-            if count == 2:
-                return g, t
+        if _theorem2_reason(g) is None:
+            for t in triangles(g):
+                deletions = check_theorem2(g, t).witness["deletions"]
+                if sum(d["tok4"] is not None for d in deletions) == 2:
+                    return g, t
     return None
 
 
@@ -444,11 +438,7 @@ def witness_report(corpus: Iterable[Graph], bound: int) -> ClaimReport:
     if found is None:
         return ClaimReport("witness", "", "pass", {"found": False, "searched_bound": bound})
     g, t = found
-    instance = check_theorem2(g, t).witness
-    hits = sum(1 for d in instance["deletions"] if d["tok4"] is not None)
-    if hits != 2:
-        raise CertificateError(f"witness {to_graph6(g)} has {hits} TOK4 deletions on recheck, expected 2")
-    witness = {"found": True, "searched_bound": bound, **instance}
+    witness = {"found": True, "searched_bound": bound, **check_theorem2(g, t).witness}
     return ClaimReport("witness", to_graph6(g), "pass", witness)
 
 

@@ -342,13 +342,17 @@ def test_cli_stdout_frozen(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_unverifiable_certificate_is_an_internal_error(monkeypatch, capsys):
-    # a TOK4 whose paths do not join its branch vertices: the claim check's
-    # re-verification raises CertificateError, which is a bug in the toolkit,
-    # not a failed claim, so it must not end in a traceback or in exit 1
+@pytest.mark.parametrize(
+    "argv", [["verify", "theorem1", "--enumerate", "4"], ["witness", "--enumerate", "7"]], ids=["verify", "witness"],
+)
+def test_unverifiable_certificate_is_an_internal_error(monkeypatch, capsys, argv):
+    # a TOK4 whose paths do not join its branch vertices: the re-verification
+    # behind a claim check or the witness search raises CertificateError, which
+    # is a bug in the toolkit, not a failed claim, so it must not end in a
+    # traceback, in exit 1 or in a witness
     bad = Tok4Certificate((0, 1, 2, 3), ((0, 1),) * 6)
     monkeypatch.setattr(prooflab, "find_tok4", lambda g: bad)
-    rc = cli.main(["verify", "theorem1", "--enumerate", "4"])
+    rc = cli.main(argv)
     err = capsys.readouterr().err
     assert rc == 70
     assert err.count("\n") == 1 and err.startswith("alphacrit: internal error: ")

@@ -212,5 +212,5 @@ def test_graph6_parse_errors_name_offsets():
 
 
 def test_read_graph6_lines_skips_blanks():
-    graphs = list(read_graph6_lines(["Bw", "", "  ", "A_"]))
-    assert [g.n for g in graphs] == [3, 2]
+    graphs = list(read_graph6_lines(["Bw", "", "  ", "A_", "Dhc\r\n", " Dhc \n"]))
+    assert [g.n for g in graphs] == [3, 2, 5, 5]

@@ -395,9 +395,8 @@ def test_eq1_consistency_reports_mismatch(monkeypatch):
     assert [r.verdict for r in run_claim("eq1_consistency", [cycle_graph(5)])] == ["fail"] * 5
 
 
-# find_tok4 answers a certificate that does not verify, then None for a witness
-# whose TOK4 deletions the search counted; every check must refuse, also with
-# asserts stripped
+# find_tok4 answers a certificate that does not verify; every check and the
+# witness search must refuse it, also with asserts stripped
 _WRONG_ANSWERS = """
 from alphacrit import prooflab
 from alphacrit.graphs import complete_graph, parse_graph6
@@ -409,7 +408,8 @@ checks = [
     (bogus, lambda: prooflab.check_theorem1(complete_graph(4))),
     (bogus, lambda: prooflab.check_theorem2(k5, prooflab.Triangle(0, 1, 2))),
     (bogus, lambda: prooflab.check_claim_delta(k5, 0)),
-    (None, lambda: prooflab.witness_report([parse_graph6("FJa^O")], 7)),
+    (bogus, lambda: prooflab.witness_report([parse_graph6("FJa^O")], 7)),
+    (bogus, lambda: prooflab.find_strengthening_witness([parse_graph6("FJa^O")])),
 ]
 print(__debug__)
 for answer, check in checks:
@@ -425,4 +425,4 @@ for answer, check in checks:
 def test_certificate_rechecks_survive_python_O():
     r = subprocess.run([sys.executable, "-O", "-c", _WRONG_ANSWERS], capture_output=True, text=True, timeout=300)
     assert r.returncode == 0 and r.stderr == ""
-    assert r.stdout.split() == ["False"] + ["refused"] * 4
+    assert r.stdout.split() == ["False"] + ["refused"] * 5
