@@ -106,6 +106,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "adj", tuple(self.adj))  # list rows would not hash
         n = self.n
         if n < 0:
             raise GraphError(f"vertex count {n} is negative")

@@ -2,10 +2,11 @@
 
 A certificate names 4 branch vertices and 6 paths, one per unordered branch
 pair, all of odd edge-length and internally disjoint from each other and from
-the branch set. find_tok4 searches exhaustively (branch quadruples from the
-degree >= 3 vertices, then backtracking path assignment in fixed pair order),
-so an empty answer is a proof of absence. verify_tok4 shares no path logic
-with the search.
+the branch set. find_tok4 tries branch quadruples of degree >= 3 vertices in
+lexicographic order. For each, one depth-first search routes ab, ac, ad, bc,
+bd, cd in turn, each path grown in vertex-index order, and the first full
+routing wins. The search is exhaustive, so None is a proof of absence.
+verify_tok4 shares no path logic with the search.
 """
 
 from __future__ import annotations
@@ -83,53 +84,45 @@ def verify_tok4(g: Graph, cert: Tok4Certificate) -> bool:
     return True
 
 
-def _odd_paths(adj: tuple[int, ...], a: int, b: int, blocked: int):
-    """Yield odd-length simple paths from a to b whose interiors avoid `blocked`.
+def _assign_paths(adj: tuple[int, ...], quad: tuple[int, ...]) -> list[tuple[int, ...]] | None:
+    """First routing of quad's pairs in PAIR_SLOTS order, or None.
 
-    b is allowed only as the final vertex; a and interiors are marked in the
-    running visited mask. Neighbor order is vertex index order.
+    used holds the branch set and every interior routed so far; a path may
+    end at b or step onto a vertex outside used.
     """
-    path = [a]
+    paths: list[tuple[int, ...]] = []
 
-    def extend(v: int, visited: int):
-        for w in iter_bits(adj[v]):
-            if w == b:
-                if len(path) % 2 == 1:  # closing edge makes len(path) edges
-                    yield path + [b]
-                continue
-            if (visited | blocked) >> w & 1:
-                continue
-            path.append(w)
-            yield from extend(w, visited | 1 << w)
-            path.pop()
-
-    yield from extend(a, 1 << a)
-
-
-def _assign_paths(adj: tuple[int, ...], quad: tuple[int, ...]):
-    branch_mask = mask_of(quad)
-
-    def rec(idx: int, used: int):
+    def route(idx: int, used: int) -> bool:
         if idx == 6:
-            return []
+            return True
         i, j = PAIR_SLOTS[idx]
         a, b = quad[i], quad[j]
-        for path in _odd_paths(adj, a, b, used & ~(1 << a)):
-            interior = mask_of(path[1:-1])
-            rest = rec(idx + 1, used | interior)
-            if rest is not None:
-                return [tuple(path)] + rest
-        return None
+        path = [a]
 
-    return rec(0, branch_mask)
+        def extend(v: int, seen: int) -> bool:
+            for w in iter_bits(adj[v]):
+                if w == b:
+                    if len(path) % 2:  # the closing edge makes len(path) edges
+                        paths.append((*path, b))
+                        if route(idx + 1, seen):
+                            return True
+                        paths.pop()
+                elif not seen >> w & 1:
+                    path.append(w)
+                    if extend(w, seen | 1 << w):
+                        return True
+                    path.pop()
+            return False
+
+        return extend(a, used)
+
+    return paths if route(0, mask_of(quad)) else None
 
 
 @lru_cache(maxsize=1 << 15)
 def find_tok4(g: Graph) -> Tok4Certificate | None:
     """First totally odd K4-subdivision in deterministic search order, if any."""
     candidates = [v for v in range(g.n) if g.adj[v].bit_count() >= 3]
-    if len(candidates) < 4:
-        return None
     for quad in combinations(candidates, 4):
         paths = _assign_paths(g.adj, quad)
         if paths is not None:

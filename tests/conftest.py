@@ -1,9 +1,11 @@
 import os
+import random
 from pathlib import Path
 
 import pytest
 
 from alphacrit.enumeration import connected_graphs_upto, packaged_corpus
+from alphacrit.graphs import Graph
 
 # pytest puts src/ on its own path (pyproject.toml); the tests that start
 # `python -m alphacrit.cli` or a demo in a subprocess need it there too
@@ -33,3 +35,20 @@ def graphs8():
 def critical_corpus():
     """Connected alpha-critical classes on 1..9 vertices, from the packaged file."""
     return packaged_corpus("alpha_critical_upto9")
+
+
+@pytest.fixture(scope="session")
+def corpus7_and_critical(corpus7, critical_corpus):
+    """corpus7 and critical_corpus, plus one seeded relabelling of each graph."""
+    rng = random.Random(5)
+    graphs = [*corpus7, *critical_corpus]
+    relabelled = []
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        rows = [0] * g.n
+        for e in g.edges():
+            rows[perm[e.u]] |= 1 << perm[e.v]
+            rows[perm[e.v]] |= 1 << perm[e.u]
+        relabelled.append(Graph(g.n, tuple(rows)))
+    return graphs + relabelled

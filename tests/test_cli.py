@@ -14,8 +14,10 @@ from pathlib import Path
 import pytest
 
 from alphacrit import cli, prooflab
+from alphacrit.enumeration import enumerate_connected
 from alphacrit.graphs import complete_graph, cycle_graph, to_graph6
 from alphacrit.subdivisions import Tok4Certificate
+from oracles import brute_contains_tok4
 
 CLI = [sys.executable, "-m", "alphacrit.cli"]
 DATA = Path(cli.__file__).parent / "data"
@@ -210,6 +212,14 @@ def test_enumerate_frozen():
     assert r.stdout == "@\n"
     r = run_cli("enumerate", "5", "--alpha-critical")
     assert r.stdout == "DLo\nD~{\n"
+
+
+def test_enumerate_tok4_free_matches_oracle(capsys):
+    rc = cli.main(["enumerate", "6", "--tok4-free"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    want = [to_graph6(g) for g in enumerate_connected(6) if not brute_contains_tok4(g)]
+    assert out == "".join(f"{line}\n" for line in want)
 
 
 def test_enumerate_out_of_range():

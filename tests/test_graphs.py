@@ -25,6 +25,7 @@ from alphacrit.graphs import (
     read_graph6_lines,
     to_graph6,
 )
+from alphacrit.stability import alpha
 
 
 def test_edge_normalizes_and_rejects_loops():
@@ -53,6 +54,10 @@ def test_graph_construction_validation():
         complete_graph(33)
     with pytest.raises(GraphError):
         Graph.from_edges(2, [(0, 2)])
+    # rows given as a list are stored as a tuple, so the graph hashes and
+    # compares like the tuple-built one
+    listed = Graph(3, [2, 5, 2])
+    assert listed == Graph(3, (2, 5, 2)) and alpha(listed) == 2
 
 
 def test_builders_shapes():

@@ -1,5 +1,4 @@
 import hashlib
-import random
 
 import pytest
 
@@ -218,23 +217,6 @@ def test_peel_max_stable_set():
         assert cert.host == g and cert.claimed_alpha == alpha(g)
         members = cert.set.members()
         assert all(not g.adj[u] >> v & 1 for u in members for v in members)
-
-
-@pytest.fixture(scope="module")
-def corpus7_and_critical(corpus7, critical_corpus):
-    """corpus7 and critical_corpus, plus one seeded relabelling of each graph."""
-    rng = random.Random(5)
-    graphs = [*corpus7, *critical_corpus]
-    relabelled = []
-    for g in graphs:
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        rows = [0] * g.n
-        for e in g.edges():
-            rows[perm[e.u]] |= 1 << perm[e.v]
-            rows[perm[e.v]] |= 1 << perm[e.u]
-        relabelled.append(Graph(g.n, tuple(rows)))
-    return graphs + relabelled
 
 
 def test_critical_edges_match_the_definition(corpus7_and_critical):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import product
 
@@ -9,6 +11,7 @@ from alphacrit.graphs import (
     cube_graph,
     cycle_graph,
     disjoint_union,
+    is_connected,
     parse_graph6,
     path_graph,
 )
@@ -80,12 +83,23 @@ def test_verify_tok4_rejects_shared_interior():
     assert not verify_tok4(g, cert)
 
 
-def test_find_tok4_matches_brute_oracle(corpus6):
-    for g in corpus6:
+def test_find_tok4_matches_brute_oracle(corpus7):
+    for g in corpus7:
         cert = find_tok4(g)
         assert (cert is not None) == brute_contains_tok4(g)
         if cert is not None:
             assert verify_tok4(g, cert)
+
+
+def test_find_tok4_frozen_certificates(corpus7_and_critical, graphs8):
+    # the search order fixes which certificate comes first; this digest of
+    # every answer pins that order, not just found versus absent
+    graphs = [*corpus7_and_critical, *filter(is_connected, graphs8)]
+    lines = [json.dumps(None if (cert := find_tok4(g)) is None else cert.to_obj()) for g in graphs]
+    assert len(lines) == 13217
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "15fe346bb4c2864189db6a27361c3041482a64d67014bdf8a7100c58ef2fe9f6"
+    )
 
 
 def test_find_tok4_frozen_families():

@@ -26,6 +26,7 @@ INVOCATIONS = (
     ("analyze", "--file", "src/alphacrit/data/alpha_critical_upto9.g6"),
     ("witness", "--enumerate", "7"),
     ("enumerate", "8", "--alpha-critical"),
+    ("enumerate", "7", "--tok4-free"),
 )
 
 
