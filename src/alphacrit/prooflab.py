@@ -17,7 +17,8 @@ Checked statements, in the vocabulary of this package:
   claim3          edges at distance one from u stay critical after deleting u
   eq1_consistency the two constructions of the deleted-vertex critical graph
                   coincide
-  cube            the five cube properties isolate Q3 in the corpus
+  cube            the five cube properties isolate Q3 in the corpus, and Q3
+                  is not alpha-critical
   witness         the first theorem-2 report with exactly two TOK4 deletions
                   (the non-strengthenability witness)
 
@@ -33,9 +34,6 @@ applicability reason, its unit (graph, vertex, triangle or corpus) and its
 checker. Its keys, SWEEP_CLAIMS, are the only ids a ClaimReport accepts. Every
 per-graph reason, in a sweep and in a direct check_* call alike, starts from
 one cached fact per graph, _standing.
-
-case2_gadget builds the triangle-to-edge gadget of the proof's case 2, and
-lift_tok4_through_gadget pulls a TOK4 of the gadget back into g - x2.
 """
 
 from __future__ import annotations
@@ -45,20 +43,16 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
-from .enumeration import canonical_form, connected_graphs_upto
+from .enumeration import canonical_form
 from .graphs import (
-    Edge,
     Graph,
     GraphError,
     SizeLimitError,
-    add_edge,
     contract_degree2,
     cube_graph,
     delete_vertex,
-    delete_vertices,
     is_connected,
     iter_bits,
-    mask_of,
     to_graph6,
 )
 # critical_edges, critical_edges_avoiding and contains_tok4 stay globals: perfbench's tracer patches them
@@ -306,81 +300,6 @@ def check_eq1_consistency(g: Graph, u: int) -> ClaimReport:
     return ClaimReport("eq1_consistency", code, "pass", {"vertex": u, "edge_count": reduced_crit.m})
 
 
-@dataclass(frozen=True)
-class GadgetInfo:
-    """Everything needed to lift certificates back out of a triangle gadget."""
-
-    host: Graph
-    triangle: Triangle
-    graph: Graph                  # the gadget: host minus triangle plus the new edge
-    vmap: tuple[int, ...]         # gadget index -> host label
-    outside: tuple[int, int, int]  # host labels of the outside neighbors of x1,x2,x3
-    added: Edge                   # the new edge, in gadget labels
-
-
-def case2_gadget(g: Graph, t: Triangle) -> GadgetInfo:
-    """Delete a triangle of degree-3 vertices and join the outer neighbors of
-    its first and third vertices."""
-    xs = t.vertices()
-    for a, b in combinations(xs, 2):
-        if not g.has_edge(a, b):
-            raise GraphError(f"{xs} is not a triangle of the graph: edge ({a},{b}) missing")
-    tmask = mask_of(xs)
-    outside = []
-    for x in xs:
-        if g.degree(x) != 3:
-            raise GraphError(f"triangle vertex {x} has degree {g.degree(x)}, need exactly 3")
-        outside.append(next(iter_bits(g.adj[x] & ~tmask)))
-    if len(set(outside)) != 3:
-        raise GraphError(f"outside neighbors {outside} are not pairwise distinct")
-    u_out, _, w_out = outside
-    if g.has_edge(u_out, w_out):
-        raise GraphError(f"({u_out},{w_out}) is already an edge outside the triangle")
-    stripped, vmap = delete_vertices(g, xs)
-    index = {old: new for new, old in enumerate(vmap)}
-    added = Edge(index[u_out], index[w_out])
-    gadget = add_edge(stripped, added)
-    return GadgetInfo(host=g, triangle=t, graph=gadget, vmap=vmap, outside=tuple(outside), added=added)
-
-
-def lift_tok4_through_gadget(k: Tok4Certificate, info: GadgetInfo) -> Tok4Certificate:
-    """Pull a certificate from the gadget back into host-minus-middle-vertex.
-
-    Paths that used the artificial edge get the 3-edge detour through the two
-    surviving triangle vertices spliced in (parity 1 -> 3); everything else is
-    a plain relabeling.
-    """
-    if not verify_tok4(info.graph, k):
-        raise CertificateError("certificate does not verify in the gadget graph")
-    x1, x2, x3 = info.triangle.vertices()
-    u_out, _, w_out = info.outside
-    host_paths = []
-    for path in k.paths:
-        lifted = [info.vmap[p] for p in path]
-        for i in range(len(lifted) - 1):
-            pair = (lifted[i], lifted[i + 1])
-            if pair == (u_out, w_out):
-                lifted[i + 1:i + 1] = [x1, x3]
-                break
-            if pair == (w_out, u_out):
-                lifted[i + 1:i + 1] = [x3, x1]
-                break
-        host_paths.append(lifted)
-    # relabel host vertices into host-minus-x2 coordinates
-    target, _ = delete_vertex(info.host, x2)
-
-    def shift(v: int) -> int:
-        return v - 1 if v > x2 else v
-
-    cert = Tok4Certificate(
-        branch=tuple(shift(info.vmap[b]) for b in k.branch),
-        paths=tuple(tuple(shift(v) for v in path) for path in host_paths),
-    )
-    if not verify_tok4(target, cert):  # pragma: no cover - splice logic is total
-        raise CertificateError("lifted certificate failed to verify in host minus middle vertex")
-    return cert
-
-
 def _cube_survivor_filter(g: Graph) -> bool:
     if g.n == 0 or not is_connected(g):
         return False
@@ -396,29 +315,6 @@ def _cube_survivor_filter(g: Graph) -> bool:
             if not g.adj[a] & g.adj[b] & ~(1 << v):
                 return False  # incident edge pair on no 4-cycle
     return True
-
-
-def cube_uniqueness_check(max_n: int, corpus: Iterable[Graph] | None = None) -> ClaimReport:
-    """Filter the corpus by the five cube properties; Q3 must be the only survivor.
-
-    With no explicit corpus this uses the built-in enumeration, which covers
-    max_n = 8 exactly.
-    """
-    if max_n < 8:
-        raise GraphError(f"the cube has 8 vertices; max_n={max_n} cannot certify uniqueness")
-    if corpus is None:
-        if max_n > 8:
-            raise SizeLimitError(f"no built-in corpus beyond n=8; supply corpus up to n={max_n}")
-        corpus = connected_graphs_upto(8)
-    survivors = [g for g in corpus if g.n <= max_n and _cube_survivor_filter(g)]
-    cube = cube_graph()
-    witness: dict = {"max_n": max_n, "survivors": [to_graph6(g) for g in survivors]}
-    ok = len(survivors) == 1 and canonical_form(survivors[0]) == canonical_form(cube)
-    if ok:
-        witness["alpha_critical"] = is_alpha_critical(survivors[0])
-        ok = not witness["alpha_critical"]
-    code = to_graph6(survivors[0]) if len(survivors) == 1 else to_graph6(cube)
-    return ClaimReport("cube", code, "pass" if ok else "fail", witness)
 
 
 def find_strengthening_witness(corpus: Iterable[Graph]):
@@ -443,16 +339,34 @@ def witness_report(corpus: Iterable[Graph], bound: int) -> ClaimReport:
 
 
 def _cube_sweep(graphs: list[Graph], bound: int) -> ClaimReport:
+    """Filter the corpus by the five cube properties: connected, cubic,
+    triangle-free, K(2,3)-free, every incident edge pair on a 4-cycle.
+
+    The claim passes when Q3 is the only survivor and is not alpha-critical.
+    It is inapplicable when bound, the corpus's largest order, is below 8,
+    when nothing survives, or when a lone survivor is too large for
+    canonical_form.
+    """
+    if bound < 8:
+        reason = f"the cube has 8 vertices; max_n={bound} cannot certify uniqueness"
+        return ClaimReport("cube", "", "inapplicable", {"reason": reason})
+    survivors = [g for g in graphs if _cube_survivor_filter(g)]
+    if not survivors:
+        # Q3 itself passes the filter, so a corpus with no survivor cannot hold
+        # every connected graph up to its largest order
+        reason = f"corpus lacks Q3, so it is not every connected graph up to n={bound}"
+        return ClaimReport("cube", "", "inapplicable", {"reason": reason})
+    cube = cube_graph()
+    witness: dict = {"max_n": bound, "survivors": [to_graph6(g) for g in survivors]}
     try:
-        report = cube_uniqueness_check(bound, corpus=graphs)
-    except GraphError as exc:
+        ok = len(survivors) == 1 and canonical_form(survivors[0]) == canonical_form(cube)
+    except SizeLimitError as exc:
         return ClaimReport("cube", "", "inapplicable", {"reason": str(exc)})
-    if report.witness["survivors"]:
-        return report
-    # Q3 itself passes the filter, so a corpus with no survivor cannot hold
-    # every connected graph up to its largest order
-    reason = f"corpus lacks Q3, so it is not every connected graph up to n={bound}"
-    return ClaimReport("cube", "", "inapplicable", {"reason": reason})
+    if ok:
+        witness["alpha_critical"] = is_alpha_critical(survivors[0])
+        ok = not witness["alpha_critical"]
+    code = to_graph6(survivors[0]) if len(survivors) == 1 else to_graph6(cube)
+    return ClaimReport("cube", code, "pass" if ok else "fail", witness)
 
 
 # A checker runs on each unit (the graph, a vertex, a triangle) of every graph

@@ -17,7 +17,7 @@ from itertools import chain
 from oracles import brute_contains_tok4
 
 from alphacrit.covers import cover_from_theorem, rho_tilde, verify_cover
-from alphacrit.enumeration import canonical_form
+from alphacrit.enumeration import canonical_form, connected_graphs_upto
 from alphacrit.graphs import (
     complete_graph,
     cube_graph,
@@ -26,11 +26,7 @@ from alphacrit.graphs import (
     parse_graph6,
     to_graph6,
 )
-from alphacrit.prooflab import (
-    cube_uniqueness_check,
-    find_strengthening_witness,
-    run_claim,
-)
+from alphacrit.prooflab import find_strengthening_witness, run_claim
 from alphacrit.stability import alpha, is_alpha_critical
 from alphacrit.subdivisions import contains_tok4, find_tok4, verify_tok4
 
@@ -150,7 +146,7 @@ def test_06_tok4_oracle_equivalence(capsys, corpus7):
 
 
 def test_07_cube_uniqueness(capsys):
-    rep = cube_uniqueness_check(8)
+    (rep,) = run_claim("cube", connected_graphs_upto(8))
     survivors = rep.witness["survivors"]
     ok = (
         rep.verdict == "pass"

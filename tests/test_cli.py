@@ -342,10 +342,12 @@ def test_verify_critical_corpus_stdout_frozen(capsys):
     (["analyze", "--file", str(DATA / "alpha_critical_upto9.g6")],
      "bc456c37b07117320635c2233836f3e43ca166e9ac3947fd15f9b0e59177a51e"),
     (["enumerate", "8", "--alpha-critical"], "e7aa2d2322013f3cf4c766e6f700bb6ae8e1fded88dfeead37d4d8d0e721430a"),
-], ids=["witness-7", "analyze-critical", "enumerate-8-critical"])
+    (["verify", "cube", "--enumerate", "8"], "3a02f2fbe0c2ce8dc882118ce36b194816a7b478e9c4f6e4403aa80f66122e15"),
+], ids=["witness-7", "analyze-critical", "enumerate-8-critical", "verify-cube-8"])
 def test_cli_stdout_frozen(argv, digest, capsys):
-    # the witness search to n=7, the full analysis at the cover DP's n=9 cap
-    # and the critical classes on 8 vertices, each hashed whole
+    # the witness search to n=7, the full analysis at the cover DP's n=9 cap,
+    # the critical classes on 8 vertices and the cube claim's pass path, each
+    # hashed whole
     rc = cli.main(argv)
     out = capsys.readouterr().out
     assert rc == 0

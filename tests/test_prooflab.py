@@ -1,4 +1,4 @@
-"""Checks for the claim-verification layer: reports, constructions, sweeps.
+"""Checks for the claim-verification layer: reports, checkers, sweeps.
 
 Sweep counts over the small enumerations are frozen; a change in any of them
 means either the enumeration or a checker drifted.
@@ -14,10 +14,7 @@ from alphacrit.graphs import (
     Edge,
     Graph,
     GraphError,
-    SizeLimitError,
-    add_edge,
     complete_graph,
-    cube_graph,
     cycle_graph,
     delete_vertex,
     parse_graph6,
@@ -27,22 +24,19 @@ from alphacrit.prooflab import (
     SWEEP_CLAIMS,
     ClaimReport,
     Triangle,
-    case2_gadget,
     check_claim_delta,
     check_claim_uvw,
     check_eq1_consistency,
     check_lemma_deg2,
     check_theorem1,
     check_theorem2,
-    cube_uniqueness_check,
     find_strengthening_witness,
-    lift_tok4_through_gadget,
     run_claim,
     triangles,
     witness_report,
 )
-from alphacrit.stability import EquationMismatchError, alpha, g_minus_c
-from alphacrit.subdivisions import PAIR_KEYS, CertificateError, Tok4Certificate, find_tok4, verify_tok4
+from alphacrit.stability import EquationMismatchError, g_minus_c
+from alphacrit.subdivisions import PAIR_KEYS, Tok4Certificate, verify_tok4
 
 NET = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
 
@@ -139,167 +133,6 @@ def test_check_lemma_deg2():
     assert rep.verdict == "pass" and rep.witness is None
     assert check_lemma_deg2(cycle_graph(6)).verdict == "inapplicable"
     assert check_lemma_deg2(cycle_graph(3)).witness["reason"] == "fewer than 4 vertices"
-
-
-def test_case2_gadget_net_frozen():
-    info = case2_gadget(NET, Triangle(0, 1, 2))
-    assert info.host is NET and info.triangle == Triangle(0, 1, 2)
-    assert info.outside == (3, 4, 5)
-    assert to_graph6(info.graph) == "BO"  # three vertices, one edge
-    assert (alpha(NET), alpha(info.graph)) == (3, 2)
-    assert info.vmap == (3, 4, 5)
-    assert info.added == Edge(0, 2)
-
-
-def test_case2_gadget_preconditions():
-    shared = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 4)])
-    with pytest.raises(GraphError, match="not pairwise distinct"):
-        case2_gadget(shared, Triangle(0, 1, 2))
-    with pytest.raises(GraphError, match="degree 4, need exactly 3"):
-        case2_gadget(add_edge(NET, (0, 4)), Triangle(0, 1, 2))
-    with pytest.raises(GraphError, match="already an edge"):
-        case2_gadget(add_edge(NET, (3, 5)), Triangle(0, 1, 2))
-    with pytest.raises(GraphError, match="not a triangle"):
-        case2_gadget(cycle_graph(6), Triangle(0, 1, 2))
-
-
-# Host whose gadget is K4: triangle, three spokes, K4-minus-an-edge outside.
-LIFT_HOST = Graph.from_edges(
-    7,
-    [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5), (3, 4), (4, 5), (3, 6), (4, 6), (5, 6)],
-)
-
-
-def test_case2_gadget_larger_alpha_drop():
-    # structural preconditions hold here but alpha drops by two
-    info = case2_gadget(LIFT_HOST, Triangle(0, 1, 2))
-    assert (alpha(LIFT_HOST), alpha(info.graph)) == (3, 1)
-
-
-def test_case2_gadget_on_critical_corpus(critical_corpus):
-    # every (graph, triangle) pair of the packaged corpus that meets the
-    # structural preconditions: alpha drops by exactly one, and each TOK4 of
-    # a gadget lifts to a certificate that verifies in g - x2
-    gadgets = []
-    for g in critical_corpus:
-        for t in triangles(g):
-            try:
-                gadgets.append(case2_gadget(g, t))
-            except GraphError:
-                continue
-    assert [(to_graph6(info.host), info.triangle.vertices()) for info in gadgets] == [
-        ("G@LKf?", (2, 3, 4)), ("H@LA[Jo", (1, 5, 6)), ("H@LA[j_", (1, 5, 6)), ("H@LA[j_", (2, 3, 4)),
-    ]
-    assert all(alpha(info.host) - alpha(info.graph) == 1 for info in gadgets)
-    lifted = 0
-    for info in gadgets:
-        cert = find_tok4(info.graph)
-        if cert is None:
-            continue
-        target, _ = delete_vertex(info.host, info.triangle.x2)
-        assert verify_tok4(target, lift_tok4_through_gadget(cert, info))
-        lifted += 1
-    assert lifted == 3
-
-
-def test_lift_endpoint_splice():
-    info = case2_gadget(LIFT_HOST, Triangle(0, 1, 2))
-    cert = find_tok4(info.graph)
-    assert cert.to_obj()["paths"]["ac"] == [0, 2]  # rides the artificial edge
-    lifted = lift_tok4_through_gadget(cert, info)
-    assert lifted.to_obj() == {
-        "branch": [2, 3, 4, 5],
-        "paths": {
-            "ab": [2, 3],
-            "ac": [2, 0, 1, 4],  # detour through the surviving triangle corners
-            "ad": [2, 5],
-            "bc": [3, 4],
-            "bd": [3, 5],
-            "cd": [4, 5],
-        },
-    }
-    target, _ = delete_vertex(LIFT_HOST, 1)
-    assert verify_tok4(target, lifted)
-
-
-def test_lift_identity_when_added_edge_unused():
-    # separate K4 hanging off the first spoke: the certificate never touches
-    # the artificial edge, so lifting is a pure relabeling
-    edges = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)]
-    edges += [(6, 7), (6, 8), (6, 9), (7, 8), (7, 9), (8, 9), (3, 6)]
-    host = Graph.from_edges(10, edges)
-    info = case2_gadget(host, Triangle(0, 1, 2))
-    cert = find_tok4(info.graph)
-    added_pair = {info.vmap[info.added.u], info.vmap[info.added.v]}
-    assert not any(
-        {info.vmap[a], info.vmap[b]} == added_pair
-        for p in cert.paths for a, b in zip(p, p[1:])
-    )
-    lifted = lift_tok4_through_gadget(cert, info)
-    assert sorted(len(p) for p in lifted.paths) == sorted(len(p) for p in cert.paths)
-    target, _ = delete_vertex(host, 1)
-    assert verify_tok4(target, lifted)
-
-
-def test_lift_interior_splice():
-    # the artificial edge sits mid-path, between two interior vertices
-    edges = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)]
-    edges += [(6, 3), (5, 7), (6, 8), (6, 9), (7, 8), (7, 9), (8, 9)]
-    host = Graph.from_edges(10, edges)
-    info = case2_gadget(host, Triangle(0, 1, 2))
-    cert = Tok4Certificate(
-        branch=(3, 4, 5, 6),
-        paths=((3, 0, 2, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)),
-    )
-    assert verify_tok4(info.graph, cert)
-    lifted = lift_tok4_through_gadget(cert, info)
-    assert lifted.to_obj()["branch"] == [5, 6, 7, 8]
-    assert lifted.to_obj()["paths"]["ab"] == [5, 2, 0, 1, 4, 6]
-    target, _ = delete_vertex(host, 1)
-    assert verify_tok4(target, lifted)
-
-
-def test_lift_rejects_unverified_certificate():
-    info = case2_gadget(LIFT_HOST, Triangle(0, 1, 2))
-    # shape-valid, but the ab path does not start at branch a
-    bad = Tok4Certificate(
-        branch=(0, 1, 2, 3),
-        paths=((1, 0), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
-    )
-    with pytest.raises(CertificateError, match="does not verify in the gadget"):
-        lift_tok4_through_gadget(bad, info)
-    # out-of-range vertices surface as the verifier's own complaint
-    info = case2_gadget(NET, Triangle(0, 1, 2))
-    oob = Tok4Certificate(
-        branch=(0, 1, 2, 3),
-        paths=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
-    )
-    with pytest.raises(CertificateError, match="outside graph"):
-        lift_tok4_through_gadget(oob, info)
-
-
-def test_cube_uniqueness_default_corpus():
-    rep = cube_uniqueness_check(8)
-    assert rep.verdict == "pass"
-    assert rep.graph_code == "G?]uf?"
-    assert rep.witness == {
-        "max_n": 8,
-        "survivors": ["G?]uf?"],
-        "alpha_critical": False,
-    }
-
-
-def test_cube_uniqueness_bounds_and_failures():
-    with pytest.raises(GraphError):
-        cube_uniqueness_check(7)
-    with pytest.raises(SizeLimitError):
-        cube_uniqueness_check(9)
-    # duplicate survivors are a failure, not a pass
-    rep = cube_uniqueness_check(8, corpus=[cube_graph(), cube_graph()])
-    assert rep.verdict == "fail" and len(rep.witness["survivors"]) == 2
-    rep = cube_uniqueness_check(8, corpus=[complete_graph(4)])
-    assert rep.verdict == "fail" and rep.witness["survivors"] == []
-    assert rep.graph_code == to_graph6(cube_graph())
 
 
 def test_find_strengthening_witness(critical_corpus):

@@ -22,6 +22,7 @@ from pathlib import Path
 INVOCATIONS = (
     ("verify", "--enumerate", "7"),
     ("verify", "--file", "src/alphacrit/data/alpha_critical_upto9.g6"),
+    ("verify", "cube", "--enumerate", "8"),
     ("analyze", "--file", "src/alphacrit/data/graphs8.g6"),
     ("analyze", "--file", "src/alphacrit/data/alpha_critical_upto9.g6"),
     ("witness", "--enumerate", "7"),
