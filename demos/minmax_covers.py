@@ -44,8 +44,9 @@ print("== the constructive side ==")
 c6 = cycle_graph(6)
 fam = cover_from_theorem(c6)
 print(f"cover_from_theorem(C6) -> {describe(fam)} at doubled cost {fam.doubled_cost}")
-print("The construction never calls the optimizer; it peels a maximum stable")
-print("set and pairs what remains.")
+print("The construction reads the components of a critical subgraph (vertices,")
+print("edges, odd cycles) and checks their cost against alpha: by weak duality")
+print("that certifies the cover, so no TOK4 search runs when the read succeeds.")
 print()
 
 print("== refusing graphs where equality can fail ==")

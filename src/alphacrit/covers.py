@@ -8,6 +8,9 @@ families never contain a chorded cycle. _induced_odd_cycles, the package's
 one odd-cycle search, lists the chordless ones only. cover_from_theorem reads
 the cover off a critical subgraph, which is the constructive content of the
 min-max equality for graphs with no totally odd K4-subdivision.
+The read is guaranteed there, and wherever it succeeds weak duality against a
+stable set of size alpha certifies it: a vertex or an edge holds at most one
+stable vertex at cost 1, an odd cycle of length 2k + 1 at most k at cost k.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .graphs import (
     mask_of,
 )
 from .stability import StableSetCertificate, alpha, critical_subgraph, peel_max_stable_set
-from .subdivisions import Tok4Certificate, find_tok4
+from .subdivisions import CertificateError, Tok4Certificate, find_tok4, verify_tok4
 
 RHO_MAX_N = 9
 
@@ -39,7 +42,7 @@ class CoverError(ValueError):
 
 
 class Tok4PresentError(GraphError):
-    """The theorem-driven cover was asked for a graph containing a TOK4."""
+    """The theorem read failed on a graph with a TOK4; carries its verified certificate."""
 
     def __init__(self, certificate: Tok4Certificate):
         super().__init__("graph contains a totally odd K4-subdivision; no theorem cover exists")
@@ -208,13 +211,12 @@ def rho_tilde(g: Graph) -> tuple[int, CoverFamily]:
 def cover_from_theorem(g: Graph) -> CoverFamily:
     """Cover of cost alpha(g) read off the components of a critical subgraph.
 
-    Only valid when g has no totally odd K4-subdivision; each component of the
-    critical subgraph is then a vertex, an edge, or an odd cycle. A cycle is
+    Guaranteed when g has no totally odd K4-subdivision: each component of the
+    critical subgraph is then a vertex, an edge, or an odd cycle. The cost
+    check against alpha(g) certifies the cover by duality on any graph, so a
+    TOK4 is searched for only when a component is of another kind. A cycle is
     walked from its smallest vertex towards that vertex's smaller neighbour.
     """
-    cert = find_tok4(g)
-    if cert is not None:
-        raise Tok4PresentError(cert)
     skeleton = critical_subgraph(g)
     adj, full = skeleton.adj, skeleton.vertex_mask()
     parts: list[tuple[int, ...]] = []
@@ -230,6 +232,11 @@ def cover_from_theorem(g: Graph) -> CoverFamily:
                 prev, cur = cur, (adj[cur] & ~(1 << prev)).bit_length() - 1
             parts.append(tuple(cyc))
         else:
+            cert = find_tok4(g)
+            if cert is not None:
+                if not verify_tok4(g, cert):
+                    raise CertificateError("the TOK4 that refuses the theorem cover does not verify")
+                raise Tok4PresentError(cert)
             raise TheoremViolationError(
                 f"critical-subgraph component on vertices {members} is not a vertex, edge, or odd cycle",
                 component=delete_vertices(skeleton, iter_bits(full & ~comp))[0],

@@ -6,7 +6,8 @@ maximum remaining degree (exclude it, or include it and drop its closed
 neighborhood), seeded with a greedy lower bound and pruned with the
 degree-based bound alpha <= |R| - ceil(m_R / Delta_R). Once the remainder has
 maximum degree <= 2 it is a disjoint union of paths and cycles and is scored
-directly.
+directly. A window [floor, ceil) answers a threshold question instead: the
+bound starts at floor and the search stops once it reaches ceil.
 
 An edge uv is critical iff alpha(G - N[u] - N[v]) = alpha(G) - 1. A stable set
 of size alpha + 1 in G - uv must contain both u and v, and dropping them leaves
@@ -32,7 +33,8 @@ Criticality is monotone under alpha-preserving deletions: if alpha(G - e) >
 alpha(G) = alpha(G - f), then alpha(G - f - e) >= alpha(G - e) > alpha(G - f).
 The same holds for a vertex whose deletion lowers alpha. So
 critical_subgraph and peel_max_stable_set never revisit an item they kept, and
-each is a single pass.
+each is a single pass. Such a vertex lies in every maximum stable set, so its
+neighbours lie in none, and the peel drops them at once.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .graphs import (
+    MAX_N,
     Edge,
     Graph,
     GraphError,
@@ -123,15 +126,16 @@ def _alpha_paths_cycles(adj: tuple[int, ...], avail: int) -> int:
     return total
 
 
-def _alpha_mask(adj: tuple[int, ...], full: int) -> int:
+def _alpha_mask(adj: tuple[int, ...], full: int, floor: int = 0, ceil: int = MAX_N + 1) -> int:
+    """Of alpha on full: max(alpha, floor) if alpha < ceil, else a value in [ceil, alpha]."""
     if full == 0:
-        return 0
-    best = _greedy_stable(adj, full)
+        return max(0, floor)
+    best = max(_greedy_stable(adj, full), floor)
 
     def rec(avail: int, count: int):
         nonlocal best
         pc = avail.bit_count()
-        if count + pc <= best:
+        if count + pc <= best or best >= ceil:
             return
         deg_sum = 0
         v, maxdeg = -1, -1
@@ -180,7 +184,7 @@ def _edge_is_critical(adj: Sequence[int], full: int, base: int, u: int, v: int) 
     """Whether deleting uv raises alpha of the graph induced by adj on full,
     whose alpha is base."""
     # uv is an edge, so adj[u] | adj[v] is N[u] | N[v]
-    return _alpha_mask(adj, full & ~(adj[u] | adj[v])) == base - 1
+    return _alpha_mask(adj, full & ~(adj[u] | adj[v]), base - 2, base - 1) == base - 1
 
 
 def critical_edges(g: Graph) -> CriticalEdgeSet:
@@ -312,12 +316,21 @@ def peel_max_stable_set(g: Graph) -> StableSetCertificate:
 
     A vertex kept because its removal lowers alpha keeps lowering it after
     every later alpha-preserving deletion, so one pass equals repeatedly
-    deleting the smallest such vertex until none exists. The survivors are a
-    maximum stable set of g.
+    deleting the smallest such vertex until none exists. A kept v then lies in
+    every maximum stable set of the remainder, so each neighbour of v would
+    be deleted at its turn; dropping them at once changes no later answer.
+    Each test only asks whether alpha stays at target, and the pass ends once
+    target vertices, a maximum stable set of g, remain.
     """
     target = alpha(g)
     avail = g.vertex_mask()
     for v in range(g.n):
-        if _alpha_mask(g.adj, avail & ~(1 << v)) == target:
+        if avail.bit_count() == target:
+            break
+        if not avail >> v & 1:
+            continue
+        if _alpha_mask(g.adj, avail & ~(1 << v), target - 1, target) == target:
             avail &= ~(1 << v)
+        else:
+            avail &= ~g.adj[v]
     return StableSetCertificate(host=g, set=VertexSet(avail), claimed_alpha=target)

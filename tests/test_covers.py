@@ -28,7 +28,7 @@ from alphacrit.graphs import (
     path_graph,
 )
 from alphacrit.stability import alpha
-from alphacrit.subdivisions import contains_tok4, verify_tok4
+from alphacrit.subdivisions import CertificateError, Tok4Certificate, contains_tok4, verify_tok4
 from oracles import brute_odd_cycles, brute_rho
 
 PETERSEN = parse_graph6("IsP@PGXD_")
@@ -147,17 +147,57 @@ def test_rho_tilde_size_cap():
         rho_tilde(PETERSEN)
 
 
+C6_THEOREM_COVER = {
+    "vertices": [], "edges": [[0, 5], [1, 2], [3, 4]], "odd_cycles": [], "cost_times_2": 6,
+}
+
+
 def test_cover_from_theorem_frozen():
-    family = cover_from_theorem(cycle_graph(6))
-    assert family.to_obj() == {
-        "vertices": [], "edges": [[0, 5], [1, 2], [3, 4]], "odd_cycles": [], "cost_times_2": 6,
-    }
+    assert cover_from_theorem(cycle_graph(6)).to_obj() == C6_THEOREM_COVER
+
+
+def test_cover_from_theorem_searches_only_on_failure(monkeypatch, corpus6):
+    tok4_free = [g for g in corpus6 if not contains_tok4(g)]
+
+    def no_search(g):
+        pytest.fail(f"find_tok4 called on a graph whose theorem read succeeds: {g}")
+
+    monkeypatch.setattr(covers, "find_tok4", no_search)
+    for g in tok4_free:
+        assert verify_cover(g, cover_from_theorem(g)) == 2 * alpha(g)
+    assert cover_from_theorem(cycle_graph(6)).to_obj() == C6_THEOREM_COVER
 
 
 def test_cover_from_theorem_requires_tok4_free():
     with pytest.raises(Tok4PresentError) as info:
         cover_from_theorem(complete_graph(4))
     assert verify_tok4(complete_graph(4), info.value.certificate)
+
+
+def test_cover_from_theorem_verifies_its_refusal(monkeypatch):
+    # the ab path 0-2-1 has even length, so this certificate does not verify
+    bogus = Tok4Certificate((0, 1, 2, 3), ((0, 2, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+    monkeypatch.setattr(covers, "find_tok4", lambda g: bogus)
+    with pytest.raises(CertificateError):
+        cover_from_theorem(complete_graph(4))
+
+
+def test_theorem_read_on_tok4_graphs(corpus7):
+    # the read is certified by duality, so it is handed out wherever it
+    # succeeds, TOK4 or not; where it fails a TOK4 is there, never a violation
+    read = refused = 0
+    for g in corpus7:
+        if not contains_tok4(g):
+            continue
+        try:
+            stable, family = minmax_certificate(g)
+        except Tok4PresentError as exc:
+            assert verify_tok4(g, exc.certificate)
+            refused += 1
+        else:
+            assert verify_cover(g, family) == 2 * alpha(g) == 2 * stable.claimed_alpha
+            read += 1
+    assert (read, refused) == (130, 363)
 
 
 def test_cover_from_theorem_equality_sweep(corpus6):

@@ -20,6 +20,8 @@ from alphacrit.stability import (
     CriticalityError,
     EquationMismatchError,
     StableSetCertificate,
+    _alpha_mask,
+    _greedy_stable,
     all_max_stable_sets,
     alpha,
     critical_edges,
@@ -50,6 +52,37 @@ def test_alpha_on_disjoint_unions(corpus6):
         for b in parts:
             u = disjoint_union(a, b)
             assert alpha(u) == alpha(a) + alpha(b)
+
+
+def _window_checks(adj, mask) -> int:
+    """Check the window contract of _alpha_mask on every window around its
+    exact value: below ceil the answer is max(alpha, floor), from ceil on it
+    lies in [ceil, alpha]. Returns the number of windows checked."""
+    a = _alpha_mask(adj, mask)
+    checks = 0
+    for floor in range(-1, a + 2):
+        for ceil in range(floor + 1, a + 3):
+            got = _alpha_mask(adj, mask, floor, ceil)
+            if a < ceil:
+                assert got == max(a, floor)
+            else:
+                assert ceil <= got <= a
+            checks += 1
+    return checks
+
+
+def test_alpha_window_contract(corpus6):
+    checks = sum(_window_checks(g.adj, mask) for g in corpus6 for mask in range(1 << g.n))
+    assert checks == 112988
+
+
+def test_alpha_window_past_greedy(graphs8):
+    # greedy is exact on every induced subgraph of connected <= 6, so there the
+    # window never reaches the search; these graphs8 classes need it
+    short = [g for g in graphs8 if _greedy_stable(g.adj, g.vertex_mask()) < alpha(g)]
+    assert len(short) == 100
+    for g in short:
+        _window_checks(g.adj, g.vertex_mask())
 
 
 def test_alpha_frozen_families():
