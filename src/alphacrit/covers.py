@@ -5,12 +5,19 @@ arithmetic uses doubled costs so everything stays integral. rho_tilde is an
 exact subset DP over the induced odd cycles only: a chorded odd cycle costs
 as much as a shorter odd cycle plus edges on the same vertices, so its
 families never contain a chorded cycle. _induced_odd_cycles, the package's
-one odd-cycle search, lists the chordless ones only. cover_from_theorem reads
-the cover off a critical subgraph, which is the constructive content of the
-min-max equality for graphs with no totally odd K4-subdivision.
-The read is guaranteed there, and wherever it succeeds weak duality against a
-stable set of size alpha certifies it: a vertex or an edge holds at most one
-stable vertex at cost 1, an odd cycle of length 2k + 1 at most k at cost k.
+one odd-cycle search, lists the chordless ones only. A DP state covers its
+lowest uncovered vertex v by a move inside the state: v alone, an edge vu
+with u > v, or a cycle whose smallest vertex is v. A move that also touches a
+covered vertex is never needed: an edge to it ties with v alone, and a cycle
+C through it leaves paths that vertices and edges cover at doubled cost at
+most |C| - 1.
+
+cover_from_theorem reads the cover off a critical subgraph, which is the
+constructive content of the min-max equality for graphs with no totally odd
+K4-subdivision. The read is guaranteed there, and wherever it succeeds weak
+duality against a stable set of size alpha certifies it: a vertex or an edge
+holds at most one stable vertex at cost 1, an odd cycle of length 2k + 1 at
+most k at cost k.
 """
 
 from __future__ import annotations
@@ -123,18 +130,24 @@ def _induced_odd_cycles(g: Graph) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
     adj = g.adj
     for s in range(g.n):
+        above = -(2 << s)  # only vertices > s may appear after s
+        if (adj[s] & above).bit_count() < 2:
+            continue  # no cycle has s as its smallest vertex
         path = [s]
-        above = ~((1 << (s + 1)) - 1)  # only vertices > s may appear after s
 
         def dfs(v: int, visited: int, blocked: int):
             # blocked: neighbours of the interior vertices path[1:-1]
-            for w in iter_bits(adj[v] & above & ~visited & ~blocked):
+            todo = adj[v] & above & ~visited & ~blocked
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                w = low.bit_length() - 1
                 path.append(w)
                 if adj[w] >> s & 1:
                     if len(path) % 2 == 1 and path[1] < w:
                         out.append(tuple(path))
                 else:
-                    dfs(w, visited | 1 << w, blocked | adj[v])
+                    dfs(w, visited | low, blocked | adj[v])
                 path.pop()
 
         for w in iter_bits(adj[s] & above):
@@ -169,41 +182,45 @@ def rho_tilde(g: Graph) -> tuple[int, CoverFamily]:
     chordless odd cycle, so every DP state keeps its optimum without chorded
     cycles, and the returned family contains induced odd cycles only.
 
-    ways[v] lists the moves that cover v, each as (doubled cost, part, part
-    mask): v alone, then each edge vu in neighbour order, then each induced odd
-    cycle through v in _induced_odd_cycles order. A state covers its lowest
-    vertex; the family is read back along the first way in that order that
-    attains the optimum, so ties go to the vertex, then edges, then cycles.
+    ways[v] lists the moves whose lowest vertex is v, each as (doubled cost,
+    part, part mask): v alone, then each edge vu with u > v, then each induced
+    odd cycle with smallest vertex v, in _induced_odd_cycles order. A state
+    covers its lowest vertex v with a move inside the state; the family is read
+    back along the first such move that attains the optimum, so ties go to the
+    vertex, then edges, then cycles. Offering the moves that touch a covered
+    vertex too would change no value and no family: an edge vu with u covered
+    ties with v alone, listed first, and an odd cycle C through a covered
+    vertex leaves paths that vertices and edges cover at doubled cost at most
+    |C| - 1 (even and at most |C|), a cover that starts with v alone or an
+    edge at v, both listed before every cycle.
     """
     if g.n > RHO_MAX_N:
         raise SizeLimitError(f"cover DP capped at n={RHO_MAX_N}, got {g.n}")
-    ways = [[(2, (v,), 1 << v)] + [(2, (v, u), 1 << v | 1 << u) for u in iter_bits(row)]
+    # -(2 << v) keeps the neighbours above v
+    ways = [[(2, (v,), 1 << v)] + [(2, (v, u), 1 << v | 1 << u) for u in iter_bits(row & -(2 << v))]
             for v, row in enumerate(g.adj)]
     for c in _induced_odd_cycles(g):
-        way = (len(c) - 1, c, mask_of(c))
-        for v in c:
-            ways[v].append(way)
+        ways[c[0]].append((len(c) - 1, c, mask_of(c)))
     memo: dict[int, int] = {0: 0}
 
     def solve(left: int) -> int:
-        got = memo.get(left)
-        if got is not None:
-            return got
         best = 2 * RHO_MAX_N + 1  # above every doubled cover cost
         for cost, _, mask in ways[(left & -left).bit_length() - 1]:
-            cand = cost + solve(left & ~mask)
-            if cand < best:
-                best = cand
+            if mask & left == mask:
+                got = memo.get(left ^ mask)
+                cand = cost + (solve(left ^ mask) if got is None else got)
+                if cand < best:
+                    best = cand
         memo[left] = best
         return best
 
-    total = solve(g.vertex_mask())
-    parts: list[tuple[int, ...]] = []
     left = g.vertex_mask()
+    total = solve(left) if left else 0
+    parts: list[tuple[int, ...]] = []
     while left:
         here = memo[left]
-        part, left = next((part, left & ~mask) for cost, part, mask in ways[(left & -left).bit_length() - 1]
-                          if cost + memo[left & ~mask] == here)
+        part, left = next((part, left ^ mask) for cost, part, mask in ways[(left & -left).bit_length() - 1]
+                          if mask & left == mask and cost + memo[left ^ mask] == here)
         parts.append(part)
     return total, _verified_family(g, parts, total)
 

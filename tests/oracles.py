@@ -4,7 +4,7 @@ Everything here is deliberately naive: exhaustive subset scans and
 generate-and-test searches with no pruning, memoization, or shared code
 paths with the library. Usable only at toy sizes, which is the point.
 
-The three functions at the end are the exception: they are former library
+The four functions at the end are the exception: they are former library
 versions, kept as the reference for the code that replaced them. The two
 restart loops stand behind the single passes of critical_subgraph and
 peel_max_stable_set; they restart after every deletion and decide each step
@@ -12,11 +12,15 @@ with alpha on the freshly built smaller graph, so they share only alpha with
 the code they check. scan_critical_edges_avoiding stands behind the one
 (alpha - 1)-stable-set enumeration per graph of critical_edges_avoiding; it
 builds g - e for every critical edge and scans all 2^n subsets of it.
+all_moves_rho_tilde stands behind rho_tilde's move list: it offers every
+move through the lowest uncovered vertex, also those that touch covered
+vertices, and shares only the cycle search and the family check with it.
 """
 
 from itertools import combinations, permutations
 
-from alphacrit.graphs import Edge, Graph, VertexSet, delete_edge, delete_vertex
+from alphacrit.covers import RHO_MAX_N, CoverFamily, _induced_odd_cycles, _verified_family
+from alphacrit.graphs import Edge, Graph, VertexSet, delete_edge, delete_vertex, iter_bits, mask_of
 from alphacrit.stability import all_max_stable_sets, alpha, critical_edges
 
 
@@ -149,3 +153,36 @@ def scan_critical_edges_avoiding(g: Graph, u: int) -> frozenset[Edge]:
         if any(u not in s for s in all_max_stable_sets(reduced)):
             out.append(e)
     return frozenset(out)
+
+
+def all_moves_rho_tilde(g: Graph) -> tuple[int, CoverFamily]:
+    """rho_tilde with every move at every vertex: v alone, each edge at v in
+    neighbour order, each induced odd cycle through v in sorted order, whether
+    or not the move touches a covered vertex; the first optimal move wins."""
+    ways = [[(2, (v,), 1 << v)] + [(2, (v, u), 1 << v | 1 << u) for u in iter_bits(row)]
+            for v, row in enumerate(g.adj)]
+    for c in _induced_odd_cycles(g):
+        way = (len(c) - 1, c, mask_of(c))
+        for v in c:
+            ways[v].append(way)
+    memo: dict[int, int] = {0: 0}
+
+    def solve(left: int) -> int:
+        got = memo.get(left)
+        if got is not None:
+            return got
+        best = 2 * RHO_MAX_N + 1
+        for cost, _, mask in ways[(left & -left).bit_length() - 1]:
+            best = min(best, cost + solve(left & ~mask))
+        memo[left] = best
+        return best
+
+    total = solve(g.vertex_mask())
+    parts: list[tuple[int, ...]] = []
+    left = g.vertex_mask()
+    while left:
+        here = memo[left]
+        part, left = next((part, left & ~mask) for cost, part, mask in ways[(left & -left).bit_length() - 1]
+                          if cost + memo[left & ~mask] == here)
+        parts.append(part)
+    return total, _verified_family(g, parts, total)

@@ -369,3 +369,16 @@ def test_unverifiable_certificate_is_an_internal_error(monkeypatch, capsys, argv
     assert rc == 70
     assert err.count("\n") == 1 and err.startswith("alphacrit: internal error: ")
     assert "Traceback" not in err
+
+
+def test_analyze_unverifiable_tok4_is_an_internal_error(monkeypatch, capsys, tmp_path):
+    # analyze re-verifies the TOK4 it would print: an ab path of even length
+    # on K4 ends in exit 70 and prints no record
+    paths = ((0, 2, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    monkeypatch.setattr(cli, "find_tok4", lambda g: Tok4Certificate((0, 1, 2, 3), paths))
+    f = tmp_path / "k4.g6"
+    f.write_text("C~\n")
+    rc = cli.main(["analyze", "--tok4", "--file", str(f)])
+    out, err = capsys.readouterr()
+    assert rc == 70 and out == ""
+    assert err.count("\n") == 1 and err.startswith("alphacrit: internal error: ")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -18,6 +19,7 @@ from alphacrit.covers import (
 )
 from alphacrit.graphs import (
     Edge,
+    Graph,
     SizeLimitError,
     add_edge,
     complete_graph,
@@ -29,7 +31,7 @@ from alphacrit.graphs import (
 )
 from alphacrit.stability import alpha
 from alphacrit.subdivisions import CertificateError, Tok4Certificate, contains_tok4, verify_tok4
-from oracles import brute_odd_cycles, brute_rho
+from oracles import all_moves_rho_tilde, brute_odd_cycles, brute_rho
 
 PETERSEN = parse_graph6("IsP@PGXD_")
 CHORDED_C5 = add_edge(cycle_graph(5), (0, 2))
@@ -52,8 +54,25 @@ def _chordless(g, cyc):
     return sum((g.adj[v] & mask).bit_count() for v in cyc) == 2 * len(cyc)
 
 
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return _graph_on(g.n, ((perm[e.u], perm[e.v]) for e in g.edges()))
+
+
+def _graph_on(n, pairs):
+    rows = [0] * n
+    for a, b in pairs:
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return Graph(n, tuple(rows))
+
+
 def test_induced_odd_cycles_are_the_chordless_ones(corpus7, critical_corpus):
-    for g in [*corpus7, *critical_corpus]:
+    # the relabelled copies matter: a start with fewer than two neighbours
+    # above it is skipped, and which starts those are depends on the labels
+    rng = random.Random(7)
+    for g in [*corpus7, *critical_corpus, *(_relabelled(h, rng) for h in corpus7)]:
         assert _induced_odd_cycles(g) == [c for c in brute_odd_cycles(g) if _chordless(g, c)]
 
 
@@ -92,6 +111,21 @@ def test_rho_tilde_matches_brute_oracle(corpus6):
         doubled, family = rho_tilde(g)
         assert doubled == brute_rho(g)
         assert verify_cover(g, family) == doubled
+
+
+def test_rho_tilde_matches_all_moves_oracle(corpus7_and_critical, graphs8):
+    # rho_tilde offers only moves inside the state that start at its lowest
+    # vertex; the oracle offers every move through that vertex, so equal
+    # values and families show that the dropped moves never come first
+    rng = random.Random(27)
+    graphs = [*corpus7_and_critical, *(_relabelled(g, rng) for g in rng.sample(graphs8, 2000))]
+    for _ in range(1000):
+        p = rng.random()
+        graphs.append(_graph_on(9, ((a, b) for a in range(9) for b in range(a) if rng.random() < p)))
+    for g in graphs:
+        doubled, family = rho_tilde(g)
+        want, oracle = all_moves_rho_tilde(g)
+        assert (doubled, family.to_obj()) == (want, oracle.to_obj())
 
 
 def test_rho_tilde_families_use_induced_cycles(corpus6):
