@@ -17,7 +17,8 @@ constructive content of the min-max equality for graphs with no totally odd
 K4-subdivision. The read is guaranteed there, and wherever it succeeds weak
 duality against a stable set of size alpha certifies it: a vertex or an edge
 holds at most one stable vertex at cost 1, an odd cycle of length 2k + 1 at
-most k at cost k.
+most k at cost k. Where the read fails, Tok4PresentError carries the TOK4 of
+find_tok4, which verifies every certificate it hands out.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .graphs import (
     mask_of,
 )
 from .stability import StableSetCertificate, alpha, critical_subgraph, peel_max_stable_set
-from .subdivisions import CertificateError, Tok4Certificate, find_tok4, verify_tok4
+from .subdivisions import Tok4Certificate, find_tok4
 
 RHO_MAX_N = 9
 
@@ -251,8 +252,6 @@ def cover_from_theorem(g: Graph) -> CoverFamily:
         else:
             cert = find_tok4(g)
             if cert is not None:
-                if not verify_tok4(g, cert):
-                    raise CertificateError("the TOK4 that refuses the theorem cover does not verify")
                 raise Tok4PresentError(cert)
             raise TheoremViolationError(
                 f"critical-subgraph component on vertices {members} is not a vertex, edge, or odd cycle",

@@ -22,8 +22,9 @@ Checked statements, in the vocabulary of this package:
   witness         the first theorem-2 report with exactly two TOK4 deletions
                   (the non-strengthenability witness)
 
-theorem1, theorem2, claim2 and the witness take every TOK4 from one verified
-find-and-check step, which raises CertificateError when verify_tok4 refuses one.
+theorem1, theorem2, claim2 and the witness take every TOK4 from
+subdivisions.find_tok4, which hands out only certificates that verify_tok4
+accepts and raises CertificateError otherwise.
 
 claim2, claim3 and eq1_consistency read the deleted-vertex critical graph G_u
 from stability.g_minus_c, which builds it once per (g, u) and compares it with
@@ -55,7 +56,8 @@ from .graphs import (
     iter_bits,
     to_graph6,
 )
-# critical_edges, critical_edges_avoiding and contains_tok4 stay globals: perfbench's tracer patches them
+# critical_edges, critical_edges_avoiding, contains_tok4 and verify_tok4 stay
+# globals: perfbench's tracer patches them
 from .stability import (  # noqa: F401
     EquationMismatchError,
     alpha,
@@ -64,8 +66,8 @@ from .stability import (  # noqa: F401
     g_minus_c,
     is_alpha_critical,
 )
-from .subdivisions import CertificateError, Tok4Certificate, find_tok4, is_tok4_graph, verify_tok4
-from .subdivisions import contains_tok4  # noqa: F401
+from .subdivisions import find_tok4, is_tok4_graph
+from .subdivisions import contains_tok4, verify_tok4  # noqa: F401
 
 VERDICTS = ("pass", "fail", "inapplicable")
 
@@ -153,18 +155,10 @@ def _theorem1_reason(g: Graph) -> str | None:
     return None
 
 
-def _verified_tok4(g: Graph, where: str) -> Tok4Certificate | None:
-    """find_tok4 on g, refusing a certificate that verify_tok4 rejects; where names g."""
-    cert = find_tok4(g)
-    if cert is not None and not verify_tok4(g, cert):
-        raise CertificateError(f"the TOK4 found in {where} does not verify")
-    return cert
-
-
-def _deletion(g: Graph, code: str, x: int) -> dict:
+def _deletion(g: Graph, x: int) -> dict:
     """The verified TOK4 of g - x, or None, with the map back to g's labels."""
     reduced, vmap = delete_vertex(g, x)
-    cert = _verified_tok4(reduced, f"{code} minus vertex {x}")
+    cert = find_tok4(reduced)
     return {"map": list(vmap), "tok4": cert.to_obj() if cert else None}
 
 
@@ -173,7 +167,7 @@ def check_theorem1(g: Graph) -> ClaimReport:
     reason = _theorem1_reason(g)
     if reason is not None:
         return ClaimReport("theorem1", code, "inapplicable", {"reason": reason})
-    cert = _verified_tok4(g, code)
+    cert = find_tok4(g)
     if cert is None:
         return ClaimReport("theorem1", code, "fail", {"reason": "no totally odd K4-subdivision found"})
     return ClaimReport("theorem1", code, "pass", {"tok4": cert.to_obj()})
@@ -196,7 +190,7 @@ def check_theorem2(g: Graph, t: Triangle) -> ClaimReport:
     reason = _theorem2_reason(g)
     if reason is not None:
         return ClaimReport("theorem2", code, "inapplicable", {"reason": reason, "triangle": list(t.vertices())})
-    deletions = [{"deleted": x, **_deletion(g, code, x)} for x in t.vertices()]
+    deletions = [{"deleted": x, **_deletion(g, x)} for x in t.vertices()]
     hits = sum(d["tok4"] is not None for d in deletions)
     witness = {"triangle": list(t.vertices()), "deletions": deletions}
     return ClaimReport("theorem2", code, "pass" if hits >= 2 else "fail", witness)
@@ -253,7 +247,7 @@ def check_claim_delta(g: Graph, u: int) -> ClaimReport:
     delta = g_minus_c(g, u).max_degree()
     if delta <= 2:
         return ClaimReport("claim2", code, "inapplicable", {"vertex": u, "max_degree": delta})
-    found = _deletion(g, code, u)
+    found = _deletion(g, u)
     if found["tok4"] is None:
         return ClaimReport("claim2", code, "fail", {"vertex": u, "max_degree": delta})
     return ClaimReport("claim2", code, "pass", {"vertex": u, "max_degree": delta, **found})

@@ -209,17 +209,18 @@ def is_alpha_critical(g: Graph) -> bool:
 def critical_subgraph(g: Graph) -> Graph:
     """Alpha-preserving alpha-critical spanning subgraph; keeps all critical edges of g.
 
-    One pass over the edges in sorted order deletes each edge that is not
-    critical in the current graph H, tested as alpha(H - N[u] - N[v]) ==
-    alpha(g) - 1. An edge kept as critical stays critical after every later
-    deletion, since each keeps alpha: alpha(H - f - e) >= alpha(H - e) >
-    alpha(H) = alpha(H - f). So the result equals repeatedly deleting the
-    smallest non-critical edge until none is left.
+    One pass over the edges in lexicographic order, the order g.edges()
+    yields, deletes each edge that is not critical in the current graph H,
+    tested as alpha(H - N[u] - N[v]) == alpha(g) - 1. An edge kept as
+    critical stays critical after every later deletion, since each keeps
+    alpha: alpha(H - f - e) >= alpha(H - e) > alpha(H) = alpha(H - f). So the
+    result equals repeatedly deleting the smallest non-critical edge until
+    none is left.
     """
     base = alpha(g)
     full = g.vertex_mask()
     rows = list(g.adj)
-    for e in sorted(g.edges()):
+    for e in g.edges():
         if not _edge_is_critical(rows, full, base, e.u, e.v):
             rows[e.u] &= ~(1 << e.v)
             rows[e.v] &= ~(1 << e.u)

@@ -6,7 +6,10 @@ the branch set. find_tok4 tries branch quadruples of degree >= 3 vertices in
 lexicographic order. For each, one depth-first search routes ab, ac, ad, bc,
 bd, cd in turn, each path grown in vertex-index order, and the first full
 routing wins. The search is exhaustive, so None is a proof of absence.
-verify_tok4 shares no path logic with the search.
+verify_tok4 shares no path logic with the search. find_tok4 raises
+CertificateError rather than hand out a certificate that verify_tok4 rejects,
+so every TOK4 the package reports or acts on is checked here, once per graph:
+claim checks, analyze, enumerate --tok4-free, is_tok4_graph, Tok4PresentError.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .graphs import Graph, is_connected, iter_bits, mask_of
+from .graphs import Graph, is_connected, iter_bits, mask_of, to_graph6
 
 # unordered pairs of branch slots, lexicographic; slot names a,b,c,d
 PAIR_SLOTS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -23,7 +26,7 @@ PAIR_KEYS = ("ab", "ac", "ad", "bc", "bd", "cd")
 
 
 class CertificateError(ValueError):
-    """Certificate is structurally malformed (as opposed to merely not verifying)."""
+    """A certificate is malformed, or one the package built does not verify."""
 
 
 @dataclass(frozen=True)
@@ -121,12 +124,15 @@ def _assign_paths(adj: tuple[int, ...], quad: tuple[int, ...]) -> list[tuple[int
 
 @lru_cache(maxsize=1 << 15)
 def find_tok4(g: Graph) -> Tok4Certificate | None:
-    """First totally odd K4-subdivision in deterministic search order, if any."""
+    """First totally odd K4-subdivision in search order, if any; it must pass verify_tok4."""
     candidates = [v for v in range(g.n) if g.adj[v].bit_count() >= 3]
     for quad in combinations(candidates, 4):
         paths = _assign_paths(g.adj, quad)
         if paths is not None:
-            return Tok4Certificate(branch=quad, paths=tuple(paths))
+            cert = Tok4Certificate(branch=quad, paths=tuple(paths))
+            if not verify_tok4(g, cert):
+                raise CertificateError(f"the TOK4 found in {to_graph6(g)} does not verify")
+            return cert
     return None
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from alphacrit import subdivisions
 from alphacrit.enumeration import connected_graphs_upto, packaged_corpus
 from alphacrit.graphs import Graph
 
@@ -52,3 +53,15 @@ def corpus7_and_critical(corpus7, critical_corpus):
             rows[perm[e.v]] |= 1 << perm[e.u]
         relabelled.append(Graph(g.n, tuple(rows)))
     return graphs + relabelled
+
+
+@pytest.fixture
+def bogus_tok4_search(monkeypatch):
+    """The TOK4 search routes all six pairs of a quadruple as its ab edge, so
+    every certificate find_tok4 builds fails verify_tok4. Answers cached
+    before or during the patch are dropped at both ends."""
+    subdivisions.find_tok4.cache_clear()
+    monkeypatch.setattr(subdivisions, "_assign_paths", lambda adj, quad: [quad[:2]] * 6)
+    yield
+    monkeypatch.undo()
+    subdivisions.find_tok4.cache_clear()

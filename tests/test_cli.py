@@ -13,10 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from alphacrit import cli, prooflab
+from alphacrit import cli
 from alphacrit.enumeration import enumerate_connected
 from alphacrit.graphs import complete_graph, cycle_graph, to_graph6
-from alphacrit.subdivisions import Tok4Certificate
 from oracles import brute_contains_tok4
 
 CLI = [sys.executable, "-m", "alphacrit.cli"]
@@ -355,15 +354,15 @@ def test_cli_stdout_frozen(argv, digest, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["verify", "theorem1", "--enumerate", "4"], ["witness", "--enumerate", "7"]], ids=["verify", "witness"],
+    "argv",
+    [["verify", "theorem1", "--enumerate", "4"], ["witness", "--enumerate", "7"], ["enumerate", "6", "--tok4-free"]],
+    ids=["verify", "witness", "enumerate"],
 )
-def test_unverifiable_certificate_is_an_internal_error(monkeypatch, capsys, argv):
+def test_unverifiable_certificate_is_an_internal_error(bogus_tok4_search, capsys, argv):
     # a TOK4 whose paths do not join its branch vertices: the re-verification
-    # behind a claim check or the witness search raises CertificateError, which
-    # is a bug in the toolkit, not a failed claim, so it must not end in a
-    # traceback, in exit 1 or in a witness
-    bad = Tok4Certificate((0, 1, 2, 3), ((0, 1),) * 6)
-    monkeypatch.setattr(prooflab, "find_tok4", lambda g: bad)
+    # inside find_tok4 raises CertificateError, which is a bug in the toolkit,
+    # not a failed claim, so it must not end in a traceback, in exit 1, in a
+    # witness or in a silently filtered enumeration
     rc = cli.main(argv)
     err = capsys.readouterr().err
     assert rc == 70
@@ -371,11 +370,9 @@ def test_unverifiable_certificate_is_an_internal_error(monkeypatch, capsys, argv
     assert "Traceback" not in err
 
 
-def test_analyze_unverifiable_tok4_is_an_internal_error(monkeypatch, capsys, tmp_path):
-    # analyze re-verifies the TOK4 it would print: an ab path of even length
-    # on K4 ends in exit 70 and prints no record
-    paths = ((0, 2, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-    monkeypatch.setattr(cli, "find_tok4", lambda g: Tok4Certificate((0, 1, 2, 3), paths))
+def test_analyze_unverifiable_tok4_is_an_internal_error(bogus_tok4_search, capsys, tmp_path):
+    # the TOK4 analyze would print is re-verified: a bogus one on K4 ends in
+    # exit 70 and prints no record
     f = tmp_path / "k4.g6"
     f.write_text("C~\n")
     rc = cli.main(["analyze", "--tok4", "--file", str(f)])

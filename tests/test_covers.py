@@ -30,7 +30,7 @@ from alphacrit.graphs import (
     path_graph,
 )
 from alphacrit.stability import alpha
-from alphacrit.subdivisions import CertificateError, Tok4Certificate, contains_tok4, verify_tok4
+from alphacrit.subdivisions import CertificateError, contains_tok4, verify_tok4
 from oracles import all_moves_rho_tilde, brute_odd_cycles, brute_rho
 
 PETERSEN = parse_graph6("IsP@PGXD_")
@@ -208,10 +208,8 @@ def test_cover_from_theorem_requires_tok4_free():
     assert verify_tok4(complete_graph(4), info.value.certificate)
 
 
-def test_cover_from_theorem_verifies_its_refusal(monkeypatch):
-    # the ab path 0-2-1 has even length, so this certificate does not verify
-    bogus = Tok4Certificate((0, 1, 2, 3), ((0, 2, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
-    monkeypatch.setattr(covers, "find_tok4", lambda g: bogus)
+def test_cover_from_theorem_verifies_its_refusal(bogus_tok4_search):
+    # the TOK4 that would refuse the theorem cover on K4 does not verify
     with pytest.raises(CertificateError):
         cover_from_theorem(complete_graph(4))
 

@@ -119,6 +119,8 @@ def _relabelled(g, keep, rename):
 def test_delete_vertices_matches_edge_list_rebuild(corpus7):
     rng = random.Random(1207)
     for g in corpus7:
+        # critical_subgraph walks g.edges() as the lexicographic edge order
+        assert all(h.edges() == sorted(h.edges()) for h in (g, *(delete_vertex(g, v)[0] for v in range(g.n))))
         for _ in range(4):
             kill = [v for v in range(g.n) if rng.random() < 0.35]
             keep = tuple(v for v in range(g.n) if v not in kill)

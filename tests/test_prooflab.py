@@ -4,9 +4,11 @@ Sweep counts over the small enumerations are frozen; a change in any of them
 means either the enumeration or a checker drifted.
 """
 
+import importlib.util
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -228,25 +230,25 @@ def test_eq1_consistency_reports_mismatch(monkeypatch):
     assert [r.verdict for r in run_claim("eq1_consistency", [cycle_graph(5)])] == ["fail"] * 5
 
 
-# find_tok4 answers a certificate that does not verify; every check and the
-# witness search must refuse it, also with asserts stripped
+# the TOK4 search builds certificates that do not verify; every check and the
+# witness search must refuse them, also with asserts stripped
 _WRONG_ANSWERS = """
-from alphacrit import prooflab
+from alphacrit import prooflab, subdivisions
 from alphacrit.graphs import complete_graph, parse_graph6
-from alphacrit.subdivisions import CertificateError, Tok4Certificate
+from alphacrit.subdivisions import CertificateError
 
-bogus = Tok4Certificate((0, 1, 2, 3), ((0, 1),) * 6)
+subdivisions._assign_paths = lambda adj, quad: [quad[:2]] * 6
 k5 = complete_graph(5)
 checks = [
-    (bogus, lambda: prooflab.check_theorem1(complete_graph(4))),
-    (bogus, lambda: prooflab.check_theorem2(k5, prooflab.Triangle(0, 1, 2))),
-    (bogus, lambda: prooflab.check_claim_delta(k5, 0)),
-    (bogus, lambda: prooflab.witness_report([parse_graph6("FJa^O")], 7)),
-    (bogus, lambda: prooflab.find_strengthening_witness([parse_graph6("FJa^O")])),
+    lambda: prooflab.check_theorem1(complete_graph(4)),
+    lambda: prooflab.check_theorem2(k5, prooflab.Triangle(0, 1, 2)),
+    lambda: prooflab.check_claim_delta(k5, 0),
+    lambda: prooflab.witness_report([parse_graph6("FJa^O")], 7),
+    lambda: prooflab.find_strengthening_witness([parse_graph6("FJa^O")]),
 ]
 print(__debug__)
-for answer, check in checks:
-    prooflab.find_tok4 = lambda g, answer=answer: answer
+for check in checks:
+    subdivisions.find_tok4.cache_clear()
     try:
         check()
         print("accepted")
@@ -259,3 +261,16 @@ def test_certificate_rechecks_survive_python_O():
     r = subprocess.run([sys.executable, "-O", "-c", _WRONG_ANSWERS], capture_output=True, text=True, timeout=300)
     assert r.returncode == 0 and r.stderr == ""
     assert r.stdout.split() == ["False"] + ["refused"] * 5
+
+
+def test_tracer_boundaries_resolve():
+    # perfbench's tracer patches these module globals, some of which (in
+    # prooflab and enumeration) are imported only for it; a cleanup that drops
+    # one would break every traced benchmark run at Tracer.install
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.BOUNDARIES
+    for module, attr, _ in tracer.BOUNDARIES:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
