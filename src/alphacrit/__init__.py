@@ -29,15 +29,12 @@ from .graphs import (
     GraphError,
     SizeLimitError,
     VertexSet,
-    add_edge,
     complete_graph,
     contract_degree2,
     cube_graph,
     cycle_graph,
-    delete_edge,
     delete_vertex,
     delete_vertices,
-    disjoint_union,
     is_connected,
     parse_graph6,
     path_graph,
@@ -47,17 +44,9 @@ from .graphs import (
 from .prooflab import (
     SWEEP_CLAIMS,
     ClaimReport,
-    Triangle,
-    check_claim_delta,
-    check_claim_uvw,
-    check_eq1_consistency,
-    check_lemma_deg2,
-    check_theorem1,
-    check_theorem2,
     find_strengthening_witness,
     run_claim,
     triangles,
-    witness_report,
 )
 from .stability import (
     CriticalEdgeSet,
@@ -102,18 +91,10 @@ __all__ = [
     "TheoremViolationError",
     "Tok4Certificate",
     "Tok4PresentError",
-    "Triangle",
     "VertexSet",
-    "add_edge",
     "all_max_stable_sets",
     "alpha",
     "canonical_form",
-    "check_claim_delta",
-    "check_claim_uvw",
-    "check_eq1_consistency",
-    "check_lemma_deg2",
-    "check_theorem1",
-    "check_theorem2",
     "complete_graph",
     "connected_graphs_upto",
     "contains_tok4",
@@ -124,10 +105,8 @@ __all__ = [
     "critical_subgraph",
     "cube_graph",
     "cycle_graph",
-    "delete_edge",
     "delete_vertex",
     "delete_vertices",
-    "disjoint_union",
     "enumerate_connected",
     "find_strengthening_witness",
     "find_tok4",
@@ -147,5 +126,4 @@ __all__ = [
     "triangles",
     "verify_cover",
     "verify_tok4",
-    "witness_report",
 ]

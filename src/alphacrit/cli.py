@@ -9,8 +9,9 @@ Four subcommands:
 
 Output is JSON lines with a fixed key order, so identical invocations are
 byte-identical and golden files diff cleanly.  Exit codes: 0 success, 1 claim
-failure, 2 parse error, 64 usage, 70 internal error (a certificate the toolkit
-built failed its own re-verification).
+failure, 2 parse error, 64 usage, 70 internal error (a certificate or cover the
+toolkit built failed its own re-verification, or the two constructions of the
+deleted-vertex critical graph disagreed).
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ import sys
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .covers import rho_tilde
+from .covers import CoverError, rho_tilde
 from .enumeration import ENUMERATE_MAX_N, connected_graphs_upto, enumerate_connected
 from .graphs import Graph, Graph6Error, SizeLimitError, parse_graph6, to_graph6
 from .prooflab import SWEEP_CLAIMS, find_strengthening_witness, run_claim
-from .stability import alpha, critical_edges, is_alpha_critical
+from .stability import EquationMismatchError, alpha, critical_edges, is_alpha_critical
 from .subdivisions import CertificateError, contains_tok4, find_tok4
 
 ANALYSES = ("alpha", "critical", "tok4", "cover")
@@ -151,7 +152,7 @@ def cmd_witness(args) -> int:
         _emit({"found": False, "graph6": None, "triangle": None, "bound": bound})
     else:
         g, tri = hit
-        _emit({"found": True, "graph6": to_graph6(g), "triangle": list(tri.vertices()), "bound": bound})
+        _emit({"found": True, "graph6": to_graph6(g), "triangle": list(tri), "bound": bound})
     return 0
 
 
@@ -212,9 +213,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _CliError as exc:
         print(exc, file=sys.stderr)
         return exc.code
-    except CertificateError as exc:
-        # a certificate the toolkit built does not verify: a bug, not a failed
-        # claim, so it gets EX_SOFTWARE from sysexits.h rather than 1
+    except (CertificateError, CoverError, EquationMismatchError) as exc:
+        # a certificate or cover the toolkit built fails its own check, or the
+        # two constructions of G_u disagree: a bug, not a failed claim, so it
+        # gets EX_SOFTWARE from sysexits.h rather than 1
         print(f"alphacrit: internal error: {exc}", file=sys.stderr)
         return 70
     except BrokenPipeError:

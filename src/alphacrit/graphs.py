@@ -193,13 +193,6 @@ def cube_graph() -> Graph:
     return Graph.from_edges(8, [(i, i ^ (1 << b)) for i in range(8) for b in range(3) if i < i ^ (1 << b)])
 
 
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    if a.n + b.n > MAX_N:
-        raise GraphError(f"union would have {a.n + b.n} > {MAX_N} vertices")
-    rows = list(a.adj) + [row << a.n for row in b.adj]
-    return Graph(a.n + b.n, tuple(rows))
-
-
 def delete_vertex(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
     """Delete v, relabel higher vertices downward.
 
@@ -227,27 +220,6 @@ def delete_vertices(g: Graph, vs: Iterable[int]) -> tuple[Graph, tuple[int, ...]
         rows = [(row & low) | (row >> b << a) for row in rows]
         kill &= low
     return Graph(len(rows), tuple(rows)), tuple(vmap)
-
-
-def delete_edge(g: Graph, e) -> Graph:
-    e = _as_edge(e)
-    if not g.has_edge(e.u, e.v):
-        raise GraphError(f"cannot delete absent edge ({e.u},{e.v})")
-    rows = list(g.adj)
-    rows[e.u] &= ~(1 << e.v)
-    rows[e.v] &= ~(1 << e.u)
-    return Graph(g.n, tuple(rows))
-
-
-def add_edge(g: Graph, e) -> Graph:
-    e = _as_edge(e)
-    g._check_vertex(e.v)
-    if g.has_edge(e.u, e.v):
-        raise GraphError(f"cannot add existing edge ({e.u},{e.v})")
-    rows = list(g.adj)
-    rows[e.u] |= 1 << e.v
-    rows[e.v] |= 1 << e.u
-    return Graph(g.n, tuple(rows))
 
 
 def contract_degree2(g: Graph, u: int) -> Graph:

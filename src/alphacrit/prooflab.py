@@ -1,8 +1,9 @@
 """Executable checks for the structure theory of alpha-critical graphs.
 
-Each check_* function returns a ClaimReport with verdict pass, fail, or
-inapplicable. On the shipped corpora every verdict is pass or inapplicable; a
-fail would falsify a published statement, so sweeps treat it as fatal.
+run_claim is the one entry point: it sweeps a claim over a corpus and returns
+ClaimReports with verdict pass, fail, or inapplicable. On the shipped corpora
+every verdict is pass or inapplicable; a fail would falsify a published
+statement, so sweeps treat it as fatal.
 
 Checked statements, in the vocabulary of this package:
   theorem1        every connected alpha-critical graph other than K1, K2, and
@@ -32,9 +33,11 @@ eq. (1) there; eq1_consistency reports that comparison.
 
 run_claim dispatches each sweep claim through one table, _SWEEPS: its
 applicability reason, its unit (graph, vertex, triangle or corpus) and its
-checker. Its keys, SWEEP_CLAIMS, are the only ids a ClaimReport accepts. Every
-per-graph reason, in a sweep and in a direct check_* call alike, starts from
-one cached fact per graph, _standing.
+checker. Its keys, SWEEP_CLAIMS, are the only ids a ClaimReport accepts.
+run_claim settles applicability and encodes graph6 once per graph; every
+per-graph reason starts from one cached fact per graph, _standing, and a
+checker runs only on the units of a graph its reason accepts, so it
+re-validates nothing.
 """
 
 from __future__ import annotations
@@ -44,11 +47,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
-from .enumeration import canonical_form
 from .graphs import (
     Graph,
-    GraphError,
-    SizeLimitError,
     contract_degree2,
     cube_graph,
     delete_vertex,
@@ -56,8 +56,9 @@ from .graphs import (
     iter_bits,
     to_graph6,
 )
-# critical_edges, critical_edges_avoiding, contains_tok4 and verify_tok4 stay
-# globals: perfbench's tracer patches them
+# canonical_form, critical_edges, critical_edges_avoiding, contains_tok4 and
+# verify_tok4 stay globals: perfbench's tracer patches them
+from .enumeration import canonical_form  # noqa: F401
 from .stability import (  # noqa: F401
     EquationMismatchError,
     alpha,
@@ -98,32 +99,14 @@ class ClaimReport:
         }
 
 
-@dataclass(frozen=True)
-class Triangle:
-    x1: int
-    x2: int
-    x3: int
-
-    def __post_init__(self):
-        xs = sorted((self.x1, self.x2, self.x3))
-        if len(set(xs)) != 3:
-            raise GraphError(f"triangle vertices must be distinct, got {xs}")
-        object.__setattr__(self, "x1", xs[0])
-        object.__setattr__(self, "x2", xs[1])
-        object.__setattr__(self, "x3", xs[2])
-
-    def vertices(self) -> tuple[int, int, int]:
-        return (self.x1, self.x2, self.x3)
-
-
-def triangles(g: Graph) -> list[Triangle]:
-    """All triangles of g in lexicographic vertex order."""
+def triangles(g: Graph) -> list[tuple[int, int, int]]:
+    """All triangles (i, j, k) of g, i < j < k, in lexicographic order."""
     out = []
     for i, j in combinations(range(g.n), 2):
         if not g.adj[i] >> j & 1:
             continue
         for k in iter_bits(g.adj[i] & g.adj[j] & ~((1 << (j + 1)) - 1)):
-            out.append(Triangle(i, j, k))
+            out.append((i, j, k))
     return out
 
 
@@ -162,11 +145,7 @@ def _deletion(g: Graph, x: int) -> dict:
     return {"map": list(vmap), "tok4": cert.to_obj() if cert else None}
 
 
-def check_theorem1(g: Graph) -> ClaimReport:
-    code = to_graph6(g)
-    reason = _theorem1_reason(g)
-    if reason is not None:
-        return ClaimReport("theorem1", code, "inapplicable", {"reason": reason})
+def _theorem1(g: Graph, code: str) -> ClaimReport:
     cert = find_tok4(g)
     if cert is None:
         return ClaimReport("theorem1", code, "fail", {"reason": "no totally odd K4-subdivision found"})
@@ -182,17 +161,10 @@ def _theorem2_reason(g: Graph) -> str | None:
     return None
 
 
-def check_theorem2(g: Graph, t: Triangle) -> ClaimReport:
-    code = to_graph6(g)
-    for a, b in combinations(t.vertices(), 2):
-        if not g.has_edge(a, b):
-            raise GraphError(f"{t.vertices()} is not a triangle of the graph: edge ({a},{b}) missing")
-    reason = _theorem2_reason(g)
-    if reason is not None:
-        return ClaimReport("theorem2", code, "inapplicable", {"reason": reason, "triangle": list(t.vertices())})
-    deletions = [{"deleted": x, **_deletion(g, x)} for x in t.vertices()]
+def _theorem2(g: Graph, code: str, tri: tuple[int, int, int]) -> ClaimReport:
+    deletions = [{"deleted": x, **_deletion(g, x)} for x in tri]
     hits = sum(d["tok4"] is not None for d in deletions)
-    witness = {"triangle": list(t.vertices()), "deletions": deletions}
+    witness = {"triangle": list(tri), "deletions": deletions}
     return ClaimReport("theorem2", code, "pass" if hits >= 2 else "fail", witness)
 
 
@@ -203,11 +175,7 @@ def _lemma1_reason(g: Graph) -> str | None:
     return reason
 
 
-def check_lemma_deg2(g: Graph) -> ClaimReport:
-    code = to_graph6(g)
-    reason = _lemma1_reason(g)
-    if reason is not None:
-        return ClaimReport("lemma1", code, "inapplicable", {"reason": reason})
+def _lemma1(g: Graph, code: str) -> ClaimReport:
     for v in range(g.n):
         if g.degree(v) < 2:
             return ClaimReport("lemma1", code, "fail", {"vertex": v, "reason": f"degree {g.degree(v)} < 2"})
@@ -238,12 +206,7 @@ def _deletion_reason(g: Graph) -> str | None:
     return reason
 
 
-def check_claim_delta(g: Graph, u: int) -> ClaimReport:
-    g._check_vertex(u)
-    code = to_graph6(g)
-    reason = _deletion_reason(g)
-    if reason is not None:
-        return ClaimReport("claim2", code, "inapplicable", {"vertex": u, "reason": reason})
+def _claim2(g: Graph, code: str, u: int) -> ClaimReport:
     delta = g_minus_c(g, u).max_degree()
     if delta <= 2:
         return ClaimReport("claim2", code, "inapplicable", {"vertex": u, "max_degree": delta})
@@ -253,12 +216,7 @@ def check_claim_delta(g: Graph, u: int) -> ClaimReport:
     return ClaimReport("claim2", code, "pass", {"vertex": u, "max_degree": delta, **found})
 
 
-def check_claim_uvw(g: Graph, u: int) -> ClaimReport:
-    g._check_vertex(u)
-    code = to_graph6(g)
-    reason = _deletion_reason(g)
-    if reason is not None:
-        return ClaimReport("claim3", code, "inapplicable", {"vertex": u, "reason": reason})
+def _claim3(g: Graph, code: str, u: int) -> ClaimReport:
     targets = [
         e for e in g.edges()
         if u not in (e.u, e.v) and (g.has_edge(u, e.u) or g.has_edge(u, e.v))
@@ -274,12 +232,7 @@ def check_claim_uvw(g: Graph, u: int) -> ClaimReport:
     return ClaimReport("claim3", code, "pass", {"vertex": u, "edges_checked": len(targets)})
 
 
-def check_eq1_consistency(g: Graph, u: int) -> ClaimReport:
-    g._check_vertex(u)
-    code = to_graph6(g)
-    reason = _deletion_reason(g)
-    if reason is not None:
-        return ClaimReport("eq1_consistency", code, "inapplicable", {"vertex": u, "reason": reason})
+def _eq1_consistency(g: Graph, code: str, u: int) -> ClaimReport:
     try:
         reduced_crit = g_minus_c(g, u)
     except EquationMismatchError as exc:
@@ -312,24 +265,24 @@ def _cube_survivor_filter(g: Graph) -> bool:
 
 
 def find_strengthening_witness(corpus: Iterable[Graph]):
-    """First (graph, triangle) whose theorem-2 report has exactly two TOK4 deletions, or None."""
+    """First (graph, (i, j, k)) whose theorem-2 report has exactly two TOK4 deletions, or None."""
     for g in corpus:
         if _theorem2_reason(g) is None:
-            for t in triangles(g):
-                deletions = check_theorem2(g, t).witness["deletions"]
-                if sum(d["tok4"] is not None for d in deletions) == 2:
-                    return g, t
+            for tri in triangles(g):
+                if sum(find_tok4(delete_vertex(g, x)[0]) is not None for x in tri) == 2:
+                    return g, tri
     return None
 
 
-def witness_report(corpus: Iterable[Graph], bound: int) -> ClaimReport:
+def _witness_sweep(graphs: list[Graph], bound: int) -> ClaimReport:
     """Corpus-level report for the strengthening-witness search."""
-    found = find_strengthening_witness(corpus)
+    found = find_strengthening_witness(graphs)
     if found is None:
         return ClaimReport("witness", "", "pass", {"found": False, "searched_bound": bound})
-    g, t = found
-    witness = {"found": True, "searched_bound": bound, **check_theorem2(g, t).witness}
-    return ClaimReport("witness", to_graph6(g), "pass", witness)
+    g, tri = found
+    code = to_graph6(g)
+    witness = {"found": True, "searched_bound": bound, **_theorem2(g, code, tri).witness}
+    return ClaimReport("witness", code, "pass", witness)
 
 
 def _cube_sweep(graphs: list[Graph], bound: int) -> ClaimReport:
@@ -337,9 +290,8 @@ def _cube_sweep(graphs: list[Graph], bound: int) -> ClaimReport:
     triangle-free, K(2,3)-free, every incident edge pair on a 4-cycle.
 
     The claim passes when Q3 is the only survivor and is not alpha-critical.
-    It is inapplicable when bound, the corpus's largest order, is below 8,
-    when nothing survives, or when a lone survivor is too large for
-    canonical_form.
+    It is inapplicable when bound, the corpus's largest order, is below 8, or
+    when nothing survives.
     """
     if bound < 8:
         reason = f"the cube has 8 vertices; max_n={bound} cannot certify uniqueness"
@@ -350,35 +302,34 @@ def _cube_sweep(graphs: list[Graph], bound: int) -> ClaimReport:
         # every connected graph up to its largest order
         reason = f"corpus lacks Q3, so it is not every connected graph up to n={bound}"
         return ClaimReport("cube", "", "inapplicable", {"reason": reason})
-    cube = cube_graph()
     witness: dict = {"max_n": bound, "survivors": [to_graph6(g) for g in survivors]}
-    try:
-        ok = len(survivors) == 1 and canonical_form(survivors[0]) == canonical_form(cube)
-    except SizeLimitError as exc:
-        return ClaimReport("cube", "", "inapplicable", {"reason": str(exc)})
+    # a survivor is connected and cubic; on 8 vertices alpha 4 makes it
+    # bipartite (all 12 edges meet the stable set, so the other 4 vertices are
+    # stable too), and a cubic K_{4,4} minus a perfect matching is Q3
+    ok = len(survivors) == 1 and survivors[0].n == 8 and alpha(survivors[0]) == 4
     if ok:
         witness["alpha_critical"] = is_alpha_critical(survivors[0])
         ok = not witness["alpha_critical"]
-    code = to_graph6(survivors[0]) if len(survivors) == 1 else to_graph6(cube)
+    code = to_graph6(survivors[0]) if len(survivors) == 1 else to_graph6(cube_graph())
     return ClaimReport("cube", code, "pass" if ok else "fail", witness)
 
 
 # A checker runs on each unit (the graph, a vertex, a triangle) of every graph
 # its reason accepts; a corpus checker gets the corpus and its largest order.
 _UNITS = {
-    "graph": lambda g, check: [check(g)],
-    "vertex": lambda g, check: [check(g, u) for u in range(g.n)],
-    "triangle": lambda g, check: [check(g, t) for t in triangles(g)],
+    "graph": lambda g, code, check: [check(g, code)],
+    "vertex": lambda g, code, check: [check(g, code, u) for u in range(g.n)],
+    "triangle": lambda g, code, check: [check(g, code, tri) for tri in triangles(g)],
 }
 _SWEEPS = {
-    "theorem1": (_theorem1_reason, "graph", check_theorem1),
-    "theorem2": (_theorem2_reason, "triangle", check_theorem2),
-    "lemma1": (_lemma1_reason, "graph", check_lemma_deg2),
-    "claim2": (_deletion_reason, "vertex", check_claim_delta),
-    "claim3": (_deletion_reason, "vertex", check_claim_uvw),
-    "eq1_consistency": (_deletion_reason, "vertex", check_eq1_consistency),
+    "theorem1": (_theorem1_reason, "graph", _theorem1),
+    "theorem2": (_theorem2_reason, "triangle", _theorem2),
+    "lemma1": (_lemma1_reason, "graph", _lemma1),
+    "claim2": (_deletion_reason, "vertex", _claim2),
+    "claim3": (_deletion_reason, "vertex", _claim3),
+    "eq1_consistency": (_deletion_reason, "vertex", _eq1_consistency),
     "cube": (None, "corpus", _cube_sweep),
-    "witness": (None, "corpus", witness_report),
+    "witness": (None, "corpus", _witness_sweep),
 }
 SWEEP_CLAIMS = tuple(_SWEEPS)
 
@@ -393,11 +344,12 @@ def run_claim(claim_id: str, corpus: Iterable[Graph]) -> list[ClaimReport]:
         return [check(graphs, max((g.n for g in graphs), default=0))]
     reports: list[ClaimReport] = []
     for g in graphs:
+        code = to_graph6(g)
         reason = reason_of(g)
-        found = [] if reason else _UNITS[unit](g, check)
+        found = [] if reason else _UNITS[unit](g, code, check)
         if not found:
             reason = reason or f"no {unit}"
-            reports.append(ClaimReport(claim_id, to_graph6(g), "inapplicable", {"reason": reason}))
+            reports.append(ClaimReport(claim_id, code, "inapplicable", {"reason": reason}))
         reports.extend(found)
     reports.sort(key=lambda r: r.graph_code)
     return reports

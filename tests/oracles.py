@@ -15,13 +15,44 @@ builds g - e for every critical edge and scans all 2^n subsets of it.
 all_moves_rho_tilde stands behind rho_tilde's move list: it offers every
 move through the lowest uncovered vertex, also those that touch covered
 vertices, and shares only the cycle search and the family check with it.
+
+The three graph edits at the top, disjoint_union, delete_edge and add_edge,
+build test inputs; nothing in the library needs them.
 """
 
 from itertools import combinations, permutations
 
 from alphacrit.covers import RHO_MAX_N, CoverFamily, _induced_odd_cycles, _verified_family
-from alphacrit.graphs import Edge, Graph, VertexSet, delete_edge, delete_vertex, iter_bits, mask_of
+from alphacrit.graphs import MAX_N, Edge, Graph, GraphError, VertexSet, _as_edge, delete_vertex, iter_bits, mask_of
 from alphacrit.stability import all_max_stable_sets, alpha, critical_edges
+
+
+def disjoint_union(a: Graph, b: Graph) -> Graph:
+    if a.n + b.n > MAX_N:
+        raise GraphError(f"union would have {a.n + b.n} > {MAX_N} vertices")
+    rows = list(a.adj) + [row << a.n for row in b.adj]
+    return Graph(a.n + b.n, tuple(rows))
+
+
+def delete_edge(g: Graph, e) -> Graph:
+    e = _as_edge(e)
+    if not g.has_edge(e.u, e.v):
+        raise GraphError(f"cannot delete absent edge ({e.u},{e.v})")
+    rows = list(g.adj)
+    rows[e.u] &= ~(1 << e.v)
+    rows[e.v] &= ~(1 << e.u)
+    return Graph(g.n, tuple(rows))
+
+
+def add_edge(g: Graph, e) -> Graph:
+    e = _as_edge(e)
+    g._check_vertex(e.v)
+    if g.has_edge(e.u, e.v):
+        raise GraphError(f"cannot add existing edge ({e.u},{e.v})")
+    rows = list(g.adj)
+    rows[e.u] |= 1 << e.v
+    rows[e.v] |= 1 << e.u
+    return Graph(g.n, tuple(rows))
 
 
 def brute_alpha(g: Graph) -> int:

@@ -167,7 +167,7 @@ def test_08_strengthening_witness(capsys, critical_corpus):
         g, t = found
         certified = 0
         absent = 0
-        for x in t.vertices():
+        for x in t:
             reduced, _ = delete_vertex(g, x)
             cert = find_tok4(reduced)
             if cert is not None:
@@ -182,7 +182,7 @@ def test_08_strengthening_witness(capsys, critical_corpus):
             and absent == 1
         )
         detail = (
-            f"graph {to_graph6(g)} (n={g.n}), triangle {t.vertices()}: two deletions "
+            f"graph {to_graph6(g)} (n={g.n}), triangle {t}: two deletions "
             f"certified, third exhaustively TOK4-free"
         )
     _report(capsys, 8, "strengthening witness", ok, detail)

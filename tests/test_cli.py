@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from alphacrit import cli
+from alphacrit import cli, covers, stability
+from alphacrit.covers import CoverError
 from alphacrit.enumeration import enumerate_connected
 from alphacrit.graphs import complete_graph, cycle_graph, to_graph6
 from oracles import brute_contains_tok4
@@ -313,40 +314,25 @@ def test_verify_null_graph_is_inapplicable(tmp_path):
     assert (summary["pass"], summary["fail"], summary["inapplicable"]) == (1, 0, 7)
 
 
-def test_verify_enumerate_7_stdout_frozen(capsys):
-    # digest of the whole sweep's output: any change in a verdict, a witness
-    # or the report order shows here
-    rc = cli.main(["verify", "--enumerate", "7"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "057d45890fafddbe72bceeb092faf997818c7a20a5e68e092d35def647d56a42"
-    )
-
-
-def test_verify_critical_corpus_stdout_frozen(capsys):
-    # every claim on the packaged alpha-critical classes: claim2 and
-    # eq1_consistency do real work on each of them
-    path = Path(cli.__file__).parent / "data" / "alpha_critical_upto9.g6"
-    rc = cli.main(["verify", "--file", str(path)])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "63c6216aad65e1073eee860644e9edd1917a490bff3fc277d3405750a0ba012c"
-    )
-
-
 @pytest.mark.parametrize("argv, digest", [
+    (["verify", "--enumerate", "7"], "057d45890fafddbe72bceeb092faf997818c7a20a5e68e092d35def647d56a42"),
+    (["verify", "--file", str(DATA / "alpha_critical_upto9.g6")],
+     "63c6216aad65e1073eee860644e9edd1917a490bff3fc277d3405750a0ba012c"),
     (["witness", "--enumerate", "7"], "8db8c3f9e68153c977a32e5bb83222c7ed818ed0c4ce5339a259120d1e0fd288"),
     (["analyze", "--file", str(DATA / "alpha_critical_upto9.g6")],
      "bc456c37b07117320635c2233836f3e43ca166e9ac3947fd15f9b0e59177a51e"),
     (["enumerate", "8", "--alpha-critical"], "e7aa2d2322013f3cf4c766e6f700bb6ae8e1fded88dfeead37d4d8d0e721430a"),
+    (["enumerate", "7", "--tok4-free"], "2e53c146d16aebba254c8c85400501a6f1f8bb5d249e6b5b1de726bae8ab40bf"),
     (["verify", "cube", "--enumerate", "8"], "3a02f2fbe0c2ce8dc882118ce36b194816a7b478e9c4f6e4403aa80f66122e15"),
-], ids=["witness-7", "analyze-critical", "enumerate-8-critical", "verify-cube-8"])
+], ids=["verify-7", "verify-critical", "witness-7", "analyze-critical", "enumerate-8-critical",
+        "enumerate-7-tok4-free", "verify-cube-8"])
 def test_cli_stdout_frozen(argv, digest, capsys):
+    # every claim on connected graphs up to 7 vertices and on the packaged
+    # alpha-critical classes (where claim2 and eq1_consistency do real work),
     # the witness search to n=7, the full analysis at the cover DP's n=9 cap,
-    # the critical classes on 8 vertices and the cube claim's pass path, each
-    # hashed whole
+    # the critical classes on 8 vertices, the TOK4-free classes on 7 and the
+    # cube claim's pass path, each hashed whole: any change in a verdict, a
+    # witness or the output order shows here
     rc = cli.main(argv)
     out = capsys.readouterr().out
     assert rc == 0
@@ -379,3 +365,57 @@ def test_analyze_unverifiable_tok4_is_an_internal_error(bogus_tok4_search, capsy
     out, err = capsys.readouterr()
     assert rc == 70 and out == ""
     assert err.count("\n") == 1 and err.startswith("alphacrit: internal error: ")
+
+
+@pytest.fixture
+def mismatched_g_u(monkeypatch):
+    """eq. (1)'s side of G_u comes back empty, so the two constructions of
+    G_u disagree wherever G_u has an edge. Cached G_u's are dropped at both
+    ends."""
+    real = stability._deleted_vertex_facts
+
+    def empty_avoiding(g):
+        critical, avoiding = real(g)
+        return critical, tuple(frozenset() for _ in avoiding)
+
+    stability.g_minus_c.cache_clear()
+    real.cache_clear()
+    monkeypatch.setattr(stability, "_deleted_vertex_facts", empty_avoiding)
+    yield
+    monkeypatch.undo()
+    stability.g_minus_c.cache_clear()
+    real.cache_clear()
+
+
+@pytest.mark.parametrize("claim", ["claim2", "claim3"])
+def test_g_u_mismatch_is_an_internal_error(mismatched_g_u, capsys, claim):
+    # claim2 and claim3 read G_u, whose two constructions disagree: a bug in
+    # the toolkit, not a failed claim, so exit 70 with one line, no traceback
+    rc = cli.main(["verify", claim, "--enumerate", "4"])
+    err = capsys.readouterr().err
+    assert rc == 70
+    assert err.count("\n") == 1 and err.startswith("alphacrit: internal error: ")
+
+
+def test_eq1_consistency_reports_the_mismatch_as_a_failed_claim(mismatched_g_u, capsys):
+    # eq1_consistency is the claim that the constructions agree, so here the
+    # same mismatch is its verdict: fail, exit 1
+    rc = cli.main(["verify", "eq1_consistency", "--enumerate", "4"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and err == ""
+    assert json.loads(out.splitlines()[-1])["summary"]["fail"] > 0
+
+
+def test_analyze_unverifiable_cover_is_an_internal_error(monkeypatch, capsys, tmp_path):
+    # rho_tilde checks the family it read back; one that fails ends analyze in
+    # exit 70 and prints no record
+    def refuse(g, family):
+        raise CoverError("uncovered-vertex", "vertex 0 is not covered")
+
+    monkeypatch.setattr(covers, "verify_cover", refuse)
+    f = tmp_path / "c5.g6"
+    f.write_text("Dhc\n")
+    rc = cli.main(["analyze", "--file", str(f)])
+    out, err = capsys.readouterr()
+    assert rc == 70 and out == ""
+    assert err == "alphacrit: internal error: uncovered-vertex: vertex 0 is not covered\n"

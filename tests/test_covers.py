@@ -21,17 +21,15 @@ from alphacrit.graphs import (
     Edge,
     Graph,
     SizeLimitError,
-    add_edge,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     mask_of,
     parse_graph6,
     path_graph,
 )
 from alphacrit.stability import alpha
 from alphacrit.subdivisions import CertificateError, contains_tok4, verify_tok4
-from oracles import all_moves_rho_tilde, brute_odd_cycles, brute_rho
+from oracles import add_edge, all_moves_rho_tilde, brute_odd_cycles, brute_rho, disjoint_union
 
 PETERSEN = parse_graph6("IsP@PGXD_")
 CHORDED_C5 = add_edge(cycle_graph(5), (0, 2))

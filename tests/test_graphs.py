@@ -10,15 +10,12 @@ from alphacrit.graphs import (
     SizeLimitError,
     VertexSet,
     _component_masks,
-    add_edge,
     complete_graph,
     contract_degree2,
     cube_graph,
     cycle_graph,
-    delete_edge,
     delete_vertex,
     delete_vertices,
-    disjoint_union,
     is_connected,
     parse_graph6,
     path_graph,
@@ -26,6 +23,7 @@ from alphacrit.graphs import (
     to_graph6,
 )
 from alphacrit.stability import alpha
+from oracles import add_edge, delete_edge, disjoint_union
 
 
 def test_edge_normalizes_and_rejects_loops():

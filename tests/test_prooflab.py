@@ -15,7 +15,6 @@ import pytest
 from alphacrit.graphs import (
     Edge,
     Graph,
-    GraphError,
     complete_graph,
     cycle_graph,
     delete_vertex,
@@ -25,17 +24,9 @@ from alphacrit.graphs import (
 from alphacrit.prooflab import (
     SWEEP_CLAIMS,
     ClaimReport,
-    Triangle,
-    check_claim_delta,
-    check_claim_uvw,
-    check_eq1_consistency,
-    check_lemma_deg2,
-    check_theorem1,
-    check_theorem2,
     find_strengthening_witness,
     run_claim,
     triangles,
-    witness_report,
 )
 from alphacrit.stability import EquationMismatchError, g_minus_c
 from alphacrit.subdivisions import PAIR_KEYS, Tok4Certificate, verify_tok4
@@ -73,24 +64,17 @@ def test_sweep_claims_exclude_constructions():
             ClaimReport(cid, "C~", "pass")
 
 
-def test_triangle_normalization():
-    t = Triangle(2, 0, 1)
-    assert t.vertices() == (0, 1, 2)
-    with pytest.raises(GraphError):
-        Triangle(1, 1, 2)
-
-
 def test_triangles_frozen():
-    assert [t.vertices() for t in triangles(complete_graph(4))] == [
+    assert triangles(complete_graph(4)) == [
         (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
     ]
-    assert triangles(NET) == [Triangle(0, 1, 2)]
+    assert triangles(NET) == [(0, 1, 2)]
     assert triangles(cycle_graph(5)) == []
     assert triangles(parse_graph6("IsP@PGXD_")) == []  # Petersen, girth 5
 
 
 def test_check_theorem1():
-    rep = check_theorem1(complete_graph(4))
+    (rep,) = run_claim("theorem1", [complete_graph(4)])
     assert rep.verdict == "pass"
     cert = cert_from_obj(rep.witness["tok4"])
     assert verify_tok4(complete_graph(4), cert)
@@ -103,17 +87,19 @@ def test_check_theorem1():
         Graph.from_edges(4, [(0, 1), (2, 3)]): "not connected",
     }
     for g, why in reasons.items():
-        rep = check_theorem1(g)
-        assert rep.verdict == "inapplicable" and rep.witness["reason"] == why
+        (rep,) = run_claim("theorem1", [g])
+        assert rep.verdict == "inapplicable" and rep.witness == {"reason": why}
 
 
 def test_check_theorem2():
-    rep = check_theorem2(complete_graph(4), Triangle(0, 1, 2))
+    (rep,) = run_claim("theorem2", [complete_graph(4)])
     assert rep.verdict == "inapplicable"
-    assert rep.witness["reason"] == "the graph is itself a totally odd K4-subdivision"
+    assert rep.witness == {"reason": "the graph is itself a totally odd K4-subdivision"}
 
-    rep = check_theorem2(complete_graph(5), Triangle(0, 1, 2))
-    assert rep.verdict == "pass"
+    reports = run_claim("theorem2", [complete_graph(5)])
+    assert [r.witness["triangle"] for r in reports] == [list(t) for t in triangles(complete_graph(5))]
+    rep = reports[0]
+    assert rep.verdict == "pass" and rep.witness["triangle"] == [0, 1, 2]
     hits = [d for d in rep.witness["deletions"] if d["tok4"] is not None]
     assert len(hits) == 3  # every deletion of K5 leaves K4
     for d in rep.witness["deletions"]:
@@ -122,19 +108,16 @@ def test_check_theorem2():
         reduced, _ = delete_vertex(complete_graph(5), d["deleted"])
         assert verify_tok4(reduced, cert_from_obj(d["tok4"]))
 
-    with pytest.raises(GraphError):
-        check_theorem2(cycle_graph(5), Triangle(0, 1, 2))
-
 
 def test_check_lemma_deg2():
-    rep = check_lemma_deg2(cycle_graph(5))
-    assert rep.verdict == "pass"
-    assert rep.witness == {"degree2": [{"vertex": v, "alpha_drop": 1} for v in range(5)]}
+    # reports come back sorted by graph6 code: C3, K4, C5, C6
+    c3, k4, c5, c6 = run_claim("lemma1", [cycle_graph(5), complete_graph(4), cycle_graph(6), cycle_graph(3)])
+    assert c5.graph_code == "Dhc" and c5.verdict == "pass"
+    assert c5.witness == {"degree2": [{"vertex": v, "alpha_drop": 1} for v in range(5)]}
     # K4 has no degree-2 vertex, so the lemma holds vacuously
-    rep = check_lemma_deg2(complete_graph(4))
-    assert rep.verdict == "pass" and rep.witness is None
-    assert check_lemma_deg2(cycle_graph(6)).verdict == "inapplicable"
-    assert check_lemma_deg2(cycle_graph(3)).witness["reason"] == "fewer than 4 vertices"
+    assert k4.graph_code == "C~" and k4.verdict == "pass" and k4.witness is None
+    assert c6.graph_code == "EhEG" and c6.verdict == "inapplicable"
+    assert c3.graph_code == "Bw" and c3.witness == {"reason": "fewer than 4 vertices"}
 
 
 def test_find_strengthening_witness(critical_corpus):
@@ -143,16 +126,17 @@ def test_find_strengthening_witness(critical_corpus):
     assert found is not None
     g, t = found
     assert to_graph6(g) == "FJa^O"
-    assert t == Triangle(0, 4, 5)
+    assert t == (0, 4, 5)
 
 
 def test_witness_report(critical_corpus):
-    rep = witness_report([cycle_graph(5)], 5)
+    (rep,) = run_claim("witness", [cycle_graph(5)])
     assert rep.verdict == "pass" and rep.graph_code == ""
     assert rep.witness == {"found": False, "searched_bound": 5}
 
     small = [g for g in critical_corpus if g.n <= 7]
-    rep = witness_report(small, 7)
+    (rep,) = run_claim("witness", small)
+    assert rep.witness["searched_bound"] == 7
     assert rep.verdict == "pass" and rep.graph_code == "FJa^O"
     assert rep.witness["triangle"] == [0, 4, 5]
     hits = [d for d in rep.witness["deletions"] if d["tok4"] is not None]
@@ -210,28 +194,19 @@ def test_one_g_minus_c_per_vertex_per_sweep(critical_corpus):
     assert info.hits == 850
 
 
-def test_deleted_vertex_checks_reject_out_of_range_vertex():
-    # the range check comes before applicability: C4 is not alpha-critical,
-    # and K0 has no vertex at all, so every u is out of range there
-    for check in (check_claim_delta, check_claim_uvw, check_eq1_consistency):
-        for g, u in ((cycle_graph(4), 99), (cycle_graph(5), -1), (cycle_graph(5), 5), (Graph.from_edges(0, []), 0)):
-            with pytest.raises(GraphError, match="outside range"):
-                check(g, u)
-
-
 def test_eq1_consistency_reports_mismatch(monkeypatch):
     def mismatch(g, u):
         raise EquationMismatchError("sides differ", [Edge(0, 3), Edge(1, 2)], [Edge(2, 3)])
 
     monkeypatch.setattr("alphacrit.prooflab.g_minus_c", mismatch)
-    report = check_eq1_consistency(cycle_graph(5), 4)
-    assert report.verdict == "fail"
-    assert report.witness == {"vertex": 4, "only_deleted_side": [[0, 3], [1, 2]], "only_avoiding_side": [[2, 3]]}
-    assert [r.verdict for r in run_claim("eq1_consistency", [cycle_graph(5)])] == ["fail"] * 5
+    reports = run_claim("eq1_consistency", [cycle_graph(5)])
+    assert [r.verdict for r in reports] == ["fail"] * 5
+    assert reports[4].witness == {"vertex": 4, "only_deleted_side": [[0, 3], [1, 2]], "only_avoiding_side": [[2, 3]]}
 
 
-# the TOK4 search builds certificates that do not verify; every check and the
-# witness search must refuse them, also with asserts stripped
+# the TOK4 search builds certificates that do not verify; every sweep that
+# reports a TOK4 and the witness search must refuse them, also with asserts
+# stripped
 _WRONG_ANSWERS = """
 from alphacrit import prooflab, subdivisions
 from alphacrit.graphs import complete_graph, parse_graph6
@@ -240,10 +215,10 @@ from alphacrit.subdivisions import CertificateError
 subdivisions._assign_paths = lambda adj, quad: [quad[:2]] * 6
 k5 = complete_graph(5)
 checks = [
-    lambda: prooflab.check_theorem1(complete_graph(4)),
-    lambda: prooflab.check_theorem2(k5, prooflab.Triangle(0, 1, 2)),
-    lambda: prooflab.check_claim_delta(k5, 0),
-    lambda: prooflab.witness_report([parse_graph6("FJa^O")], 7),
+    lambda: prooflab.run_claim("theorem1", [complete_graph(4)]),
+    lambda: prooflab.run_claim("theorem2", [k5]),
+    lambda: prooflab.run_claim("claim2", [k5]),
+    lambda: prooflab.run_claim("witness", [parse_graph6("FJa^O")]),
     lambda: prooflab.find_strengthening_witness([parse_graph6("FJa^O")]),
 ]
 print(__debug__)

@@ -9,8 +9,6 @@ from alphacrit.graphs import (
     SizeLimitError,
     complete_graph,
     cycle_graph,
-    delete_edge,
-    disjoint_union,
     parse_graph6,
     path_graph,
     to_graph6,
@@ -33,6 +31,8 @@ from alphacrit.stability import (
 )
 from oracles import (
     brute_alpha,
+    delete_edge,
+    disjoint_union,
     loop_critical_subgraph,
     loop_peel_max_stable_set,
     scan_critical_edges_avoiding,

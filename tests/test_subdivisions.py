@@ -10,7 +10,6 @@ from alphacrit.graphs import (
     complete_graph,
     cube_graph,
     cycle_graph,
-    disjoint_union,
     is_connected,
     parse_graph6,
     path_graph,
@@ -24,7 +23,7 @@ from alphacrit.subdivisions import (
     is_tok4_graph,
     verify_tok4,
 )
-from oracles import brute_contains_tok4
+from oracles import brute_contains_tok4, disjoint_union
 
 K4_CERT = Tok4Certificate(
     branch=(0, 1, 2, 3),
