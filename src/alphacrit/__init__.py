@@ -44,7 +44,6 @@ from .graphs import (
 from .prooflab import (
     SWEEP_CLAIMS,
     ClaimReport,
-    find_strengthening_witness,
     run_claim,
     triangles,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "delete_vertex",
     "delete_vertices",
     "enumerate_connected",
-    "find_strengthening_witness",
     "find_tok4",
     "g_minus_c",
     "is_alpha_critical",

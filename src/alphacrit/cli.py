@@ -1,10 +1,10 @@
 """Command line front end.
 
-Four subcommands:
+Three subcommands:
 
   analyze    invariants for graph6 input lines, one JSON record per graph
-  verify     sweep claim checks over a corpus, JSON report per check
-  witness    search a corpus for the two-of-three triangle-deletion witness
+  verify     sweep claim checks over a corpus, JSON report per check (the
+             witness claim is the two-of-three triangle-deletion search)
   enumerate  print connected graphs of one order, optionally filtered
 
 Output is JSON lines with a fixed key order, so identical invocations are
@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 from .covers import CoverError, rho_tilde
 from .enumeration import ENUMERATE_MAX_N, connected_graphs_upto, enumerate_connected
 from .graphs import Graph, Graph6Error, SizeLimitError, parse_graph6, to_graph6
-from .prooflab import SWEEP_CLAIMS, find_strengthening_witness, run_claim
+from .prooflab import SWEEP_CLAIMS, run_claim
 from .stability import EquationMismatchError, alpha, critical_edges, is_alpha_critical
 from .subdivisions import CertificateError, contains_tok4, find_tok4
 
@@ -77,16 +77,16 @@ def _read_graph6(path: str | None) -> Iterator[tuple[int, str, Graph | Graph6Err
         yield lineno, line, g
 
 
-def _load_corpus(args) -> tuple[list[Graph], int]:
-    """Corpus graphs plus the searched order bound, from --enumerate or --file."""
+def _load_corpus(args) -> list[Graph]:
+    """Corpus graphs from --enumerate or --file."""
     if args.enumerate is not None:
-        return list(connected_graphs_upto(args.enumerate)), args.enumerate
+        return list(connected_graphs_upto(args.enumerate))
     graphs = []
     for lineno, _, g in _read_graph6(args.file):
         if isinstance(g, Graph6Error):
             raise _CliError(2, f"{args.file}, line {lineno}: {g}")
         graphs.append(g)
-    return graphs, max((g.n for g in graphs), default=0)
+    return graphs
 
 
 def _analysis_record(g: Graph, code: str, want: set[str]) -> dict:
@@ -117,9 +117,7 @@ def _analysis_record(g: Graph, code: str, want: set[str]) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    want = {name for name in ANALYSES if getattr(args, name)}
-    if args.all or not want:
-        want = set(ANALYSES)
+    want = {name for name in ANALYSES if getattr(args, name)} or set(ANALYSES)
     status = 0
     for lineno, line, g in _read_graph6(args.file):
         if isinstance(g, Graph6Error):
@@ -135,7 +133,7 @@ def cmd_verify(args) -> int:
     for claim in claims:
         if claim not in SWEEP_CLAIMS:
             raise _CliError(64, f"unknown claim id {claim!r}; choose from: {', '.join(SWEEP_CLAIMS)}")
-    graphs, _ = _load_corpus(args)
+    graphs = _load_corpus(args)
     counts = {"pass": 0, "fail": 0, "inapplicable": 0}
     for claim in claims:
         for report in run_claim(claim, graphs):
@@ -143,17 +141,6 @@ def cmd_verify(args) -> int:
             _emit(report.to_obj())
     _emit({"summary": {"claims": claims, "graphs": len(graphs), **counts}})
     return 0 if counts["fail"] == 0 else 1
-
-
-def cmd_witness(args) -> int:
-    graphs, bound = _load_corpus(args)
-    hit = find_strengthening_witness(graphs)
-    if hit is None:
-        _emit({"found": False, "graph6": None, "triangle": None, "bound": bound})
-    else:
-        g, tri = hit
-        _emit({"found": True, "graph6": to_graph6(g), "triangle": list(tri), "bound": bound})
-    return 0
 
 
 def cmd_enumerate(args) -> int:
@@ -170,9 +157,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="alphacrit", description="stable-set criticality toolkit")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("analyze", help="compute invariants for graph6 input")
+    p = sub.add_parser("analyze", help="compute invariants for graph6 input (default: every analysis)")
     p.add_argument("--file", metavar="PATH", help="graph6 lines (default: standard input)")
-    p.add_argument("--all", action="store_true", help="run every analysis (the default)")
     p.add_argument("--alpha", action="store_true", help="stability number")
     p.add_argument("--critical", action="store_true", help="alpha-criticality and critical edge count")
     p.add_argument("--tok4", action="store_true", help="totally odd K4-subdivision certificate")
@@ -187,14 +173,6 @@ def build_parser() -> _Parser:
                         help=f"connected graphs on 1..N vertices, N <= {ENUMERATE_MAX_N}")
     source.add_argument("--file", metavar="PATH", help="graph6 lines from PATH")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("witness",
-                       help="find a graph where exactly two of three triangle deletions keep the subdivision")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--enumerate", type=_order, metavar="N",
-                        help=f"connected graphs on 1..N vertices, N <= {ENUMERATE_MAX_N}")
-    source.add_argument("--file", metavar="PATH", help="graph6 lines from PATH")
-    p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("enumerate", help="print connected graphs of one order")
     p.add_argument("n", type=_order, help=f"number of vertices, 1..{ENUMERATE_MAX_N}")

@@ -79,11 +79,7 @@ class EquationMismatchError(RuntimeError):
 
 @dataclass(frozen=True)
 class CriticalEdgeSet:
-    host: Graph
     edges: frozenset[Edge]
-
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
 
 
 @dataclass(frozen=True)
@@ -196,7 +192,7 @@ def critical_edges(g: Graph) -> CriticalEdgeSet:
     base = alpha(g)
     full = g.vertex_mask()
     crit = frozenset(e for e in g.edges() if _edge_is_critical(g.adj, full, base, e.u, e.v))
-    return CriticalEdgeSet(host=g, edges=crit)
+    return CriticalEdgeSet(edges=crit)
 
 
 def is_alpha_critical(g: Graph) -> bool:

@@ -179,7 +179,7 @@ def scan_critical_edges_avoiding(g: Graph, u: int) -> frozenset[Edge]:
     """Critical edges e of g such that some maximum stable set of g - e misses
     u, by scanning every maximum stable set of each g - e."""
     out = []
-    for e in critical_edges(g).sorted_edges():
+    for e in sorted(critical_edges(g).edges):
         reduced = delete_edge(g, e)
         if any(u not in s for s in all_max_stable_sets(reduced)):
             out.append(e)

@@ -26,7 +26,7 @@ from alphacrit.graphs import (
     parse_graph6,
     to_graph6,
 )
-from alphacrit.prooflab import find_strengthening_witness, run_claim
+from alphacrit.prooflab import run_claim
 from alphacrit.stability import alpha, is_alpha_critical
 from alphacrit.subdivisions import contains_tok4, find_tok4, verify_tok4
 
@@ -160,11 +160,11 @@ def test_07_cube_uniqueness(capsys):
 
 
 def test_08_strengthening_witness(capsys, critical_corpus):
-    found = find_strengthening_witness(critical_corpus)
-    ok = found is not None
+    (rep,) = run_claim("witness", critical_corpus)
+    ok = rep.witness["found"]
     detail = "no witness up to n=9"
     if ok:
-        g, t = found
+        g, t = parse_graph6(rep.graph_code), tuple(rep.witness["triangle"])
         certified = 0
         absent = 0
         for x in t:

@@ -95,7 +95,7 @@ def test_invalid_byte_in_file_is_a_parse_error(tmp_path):
     assert r.returncode == 2
     assert [json.loads(line)["graph6"] for line in r.stdout.splitlines()] == ["Dhc", "C~"]
     assert r.stderr.decode() == BAD_BYTE + "\n"
-    for cmd in (["verify", "theorem1"], ["witness"]):
+    for cmd in (["verify", "theorem1"], ["verify", "witness"]):
         r = run_cli_bytes(*cmd, "--file", str(f))
         assert r.returncode == 2 and r.stdout == b""
         assert r.stderr.decode() == f"{f}, {BAD_BYTE}\n"
@@ -193,15 +193,28 @@ def test_verify_requires_exactly_one_source(tmp_path):
 
 
 def test_witness_frozen(tmp_path):
-    r = run_cli("witness", "--enumerate", "5")
+    r = run_cli("verify", "witness", "--enumerate", "5")
     assert r.returncode == 0
-    assert r.stdout == '{"found": false, "graph6": null, "triangle": null, "bound": 5}\n'
+    assert r.stdout == (
+        '{"claim": "witness", "graph6": "", "verdict": "pass",'
+        ' "witness": {"found": false, "searched_bound": 5}}\n'
+        '{"summary": {"claims": ["witness"], "graphs": 31, "pass": 1, "fail": 0, "inapplicable": 0}}\n'
+    )
 
     f = tmp_path / "wit.g6"
     f.write_text("FJa^O\n")
-    r = run_cli("witness", "--file", str(f))
+    r = run_cli("verify", "witness", "--file", str(f))
     assert r.returncode == 0
-    assert r.stdout == '{"found": true, "graph6": "FJa^O", "triangle": [0, 4, 5], "bound": 7}\n'
+    assert r.stdout == (
+        '{"claim": "witness", "graph6": "FJa^O", "verdict": "pass",'
+        ' "witness": {"found": true, "searched_bound": 7, "triangle": [0, 4, 5], "deletions": ['
+        '{"deleted": 0, "map": [1, 2, 3, 4, 5, 6], "tok4": {"branch": [0, 1, 2, 5], "paths":'
+        ' {"ab": [0, 1], "ac": [0, 2], "ad": [0, 5], "bc": [1, 2], "bd": [1, 5], "cd": [2, 4, 3, 5]}}},'
+        ' {"deleted": 4, "map": [0, 1, 2, 3, 5, 6], "tok4": {"branch": [1, 2, 3, 5], "paths":'
+        ' {"ab": [1, 2], "ac": [1, 3], "ad": [1, 5], "bc": [2, 3], "bd": [2, 5], "cd": [3, 4, 0, 5]}}},'
+        ' {"deleted": 5, "map": [0, 1, 2, 3, 4, 6], "tok4": null}]}}\n'
+        '{"summary": {"claims": ["witness"], "graphs": 1, "pass": 1, "fail": 0, "inapplicable": 0}}\n'
+    )
 
 
 def test_enumerate_frozen():
@@ -253,9 +266,11 @@ def test_package_exports_every_imported_name():
 
 
 def test_no_command_is_usage_error():
-    r = run_cli()
-    assert r.returncode == 64
-    assert "usage:" in r.stderr
+    # no command, an unknown command, an unknown option
+    for argv in ((), ("witness", "--enumerate", "7"), ("analyze", "--all")):
+        r = run_cli(*argv)
+        assert r.returncode == 64 and r.stdout == ""
+        assert "usage:" in r.stderr
 
 
 def test_repeated_runs_are_byte_identical():
@@ -293,7 +308,7 @@ def test_verify_every_claim_above_every_cap(tmp_path):
 def test_analyze_all_at_the_vertex_cap(tmp_path):
     f = tmp_path / "big.g6"
     f.write_text("".join(to_graph6(g) + "\n" for g in (cycle_graph(31), cycle_graph(32), complete_graph(32))))
-    r = run_cli("analyze", "--all", "--file", str(f))
+    r = run_cli("analyze", "--file", str(f))
     assert r.returncode == 0 and r.stderr == ""
     recs = [json.loads(line) for line in r.stdout.splitlines()]
     assert [(rec["n"], rec["alpha_critical"], rec["critical_edge_count"]) for rec in recs] == [
@@ -318,21 +333,20 @@ def test_verify_null_graph_is_inapplicable(tmp_path):
     (["verify", "--enumerate", "7"], "057d45890fafddbe72bceeb092faf997818c7a20a5e68e092d35def647d56a42"),
     (["verify", "--file", str(DATA / "alpha_critical_upto9.g6")],
      "63c6216aad65e1073eee860644e9edd1917a490bff3fc277d3405750a0ba012c"),
-    (["witness", "--enumerate", "7"], "8db8c3f9e68153c977a32e5bb83222c7ed818ed0c4ce5339a259120d1e0fd288"),
     (["analyze", "--file", str(DATA / "alpha_critical_upto9.g6")],
      "bc456c37b07117320635c2233836f3e43ca166e9ac3947fd15f9b0e59177a51e"),
     (["enumerate", "8", "--alpha-critical"], "e7aa2d2322013f3cf4c766e6f700bb6ae8e1fded88dfeead37d4d8d0e721430a"),
     (["enumerate", "7", "--tok4-free"], "2e53c146d16aebba254c8c85400501a6f1f8bb5d249e6b5b1de726bae8ab40bf"),
     (["verify", "cube", "--enumerate", "8"], "3a02f2fbe0c2ce8dc882118ce36b194816a7b478e9c4f6e4403aa80f66122e15"),
-], ids=["verify-7", "verify-critical", "witness-7", "analyze-critical", "enumerate-8-critical",
+], ids=["verify-7", "verify-critical", "analyze-critical", "enumerate-8-critical",
         "enumerate-7-tok4-free", "verify-cube-8"])
 def test_cli_stdout_frozen(argv, digest, capsys):
-    # every claim on connected graphs up to 7 vertices and on the packaged
-    # alpha-critical classes (where claim2 and eq1_consistency do real work),
-    # the witness search to n=7, the full analysis at the cover DP's n=9 cap,
-    # the critical classes on 8 vertices, the TOK4-free classes on 7 and the
-    # cube claim's pass path, each hashed whole: any change in a verdict, a
-    # witness or the output order shows here
+    # every claim (the witness search included) on connected graphs up to 7
+    # vertices and on the packaged alpha-critical classes (where claim2 and
+    # eq1_consistency do real work), the full analysis at the cover DP's n=9
+    # cap, the critical classes on 8 vertices, the TOK4-free classes on 7 and
+    # the cube claim's pass path, each hashed whole: any change in a verdict,
+    # a witness or the output order shows here
     rc = cli.main(argv)
     out = capsys.readouterr().out
     assert rc == 0
@@ -341,7 +355,8 @@ def test_cli_stdout_frozen(argv, digest, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["verify", "theorem1", "--enumerate", "4"], ["witness", "--enumerate", "7"], ["enumerate", "6", "--tok4-free"]],
+    [["verify", "theorem1", "--enumerate", "4"], ["verify", "witness", "--enumerate", "7"],
+     ["enumerate", "6", "--tok4-free"]],
     ids=["verify", "witness", "enumerate"],
 )
 def test_unverifiable_certificate_is_an_internal_error(bogus_tok4_search, capsys, argv):

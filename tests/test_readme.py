@@ -32,7 +32,7 @@ def test_quickstart_prints_its_comments():
 
 
 def test_readme_shows_every_cli_command():
-    assert [args.split()[0] for _, args, _, _ in EXAMPLES] == ["analyze", "enumerate", "verify", "witness"]
+    assert [args.split()[0] for _, args, _, _ in EXAMPLES] == ["analyze", "enumerate", "verify"]
 
 
 @pytest.mark.parametrize("stdin, args, tail, shown", EXAMPLES, ids=[e[1].split()[0] for e in EXAMPLES])

@@ -133,7 +133,7 @@ def test_critical_edges():
     # P4: deleting an end edge isolates a vertex and raises alpha; the
     # middle edge splits the path without changing it
     crit = critical_edges(path_graph(4))
-    assert [(e.u, e.v) for e in crit.sorted_edges()] == [(0, 1), (2, 3)]
+    assert [(e.u, e.v) for e in sorted(crit.edges)] == [(0, 1), (2, 3)]
 
 
 def test_critical_edge_definition_directly(corpus6):

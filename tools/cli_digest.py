@@ -25,7 +25,6 @@ INVOCATIONS = (
     ("verify", "cube", "--enumerate", "8"),
     ("analyze", "--file", "src/alphacrit/data/graphs8.g6"),
     ("analyze", "--file", "src/alphacrit/data/alpha_critical_upto9.g6"),
-    ("witness", "--enumerate", "7"),
     ("enumerate", "8", "--alpha-critical"),
     ("enumerate", "7", "--tok4-free"),
 )
